@@ -6,6 +6,8 @@ baselines, with the cantilever-beam, plate-with-hole, and point-load
 benchmarks used to compare their accuracy and assembly cost.
 """
 
+__version__ = "0.1.0"
+
 from .assembly import (GlobalSystem, SolverConfig, assemble, recover_field,
                        solve)
 from .benchmarks import (BeamProblem, BoussinesqProblem, ManufacturedProblem,
@@ -17,8 +19,6 @@ from .geometry import (NodeSet, build_subdomain, generate_beam_nodes,
 from .mlpg import assemble_mlpg, mls_shape_with_derivatives
 from .mls import (GmlsRow, MomentSystem, PolyBasis, WeightFunction,
                   gmls_derivative_row, gmls_row, mls_shape, weight_eval)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BeamProblem", "BoussinesqProblem", "GlobalSystem", "GmlsRow",

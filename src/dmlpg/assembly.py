@@ -326,13 +326,20 @@ def collocation_coefficients(moment: mls.MomentSystem) -> np.ndarray:
     return moment.phi()[0]
 
 
+_ROW_KINDS = {DIRICHLET: "dirichlet-collocation", MIXED: "mixed-replaced"}
+
+
 def assemble(nodes, problem, method: str = "dmlpg1",
              config: SolverConfig | None = None) -> GlobalSystem:
     """Build the global sparse system for one of the direct methods.
 
     Dirichlet nodes become collocation block rows, mixed nodes keep weak rows
     only for their unprescribed components, and all remaining nodes contribute
-    pure weak-form rows.
+    pure weak-form rows.  Each node's d x d blocks are d^2 functionals on the
+    basis centred there: the weak-form blocks lam[:, i, j], or e_0 on the
+    diagonal of a prescribed component (the value at the node).  One batched
+    GMLS solve (``mls.gmls_batch``) turns every node's stack into its matrix
+    entries.
     """
     config = config or SolverConfig()
     if method not in ("dmlpg1", "dmlpg5"):
@@ -341,59 +348,45 @@ def assemble(nodes, problem, method: str = "dmlpg1",
     geometry = problem.geometry
     d = nodes.dim
     cache = LambdaCache(enabled=config.cache)
-    rows, cols, vals = [], [], []
+    functionals = np.zeros((nodes.n, d, d, mls.basis_size(config.m, d)))
     rhs = np.zeros(nodes.n * d)
     row_kinds = []
-    errors = []
+    clip_errors = {}
     t0 = time.perf_counter()
     for k in range(nodes.n):
         x = nodes.points[k]
-        try:
-            moment = mls.MomentSystem.build(x, nodes, config.m, eps=config.eps,
-                                            delta=float(nodes.support[k]))
-            if nodes.tags[k] == DIRICHLET:
-                a = collocation_coefficients(moment)
-                ubar = problem.dirichlet(x[None, :])[0]
-                for i in range(d):
-                    rows.append(np.full(a.size, d * k + i))
-                    cols.append(d * moment.active + i)
-                    vals.append(a)
-                    rhs[d * k + i] = ubar[i]
-                row_kinds.append("dirichlet-collocation")
+        mask = nodes.masks[k]
+        if nodes.tags[k] != DIRICHLET:
+            try:
+                sub = subdomain_for_node(k, nodes, geometry, config)
+                row = row_builder(k, sub, problem, config, float(nodes.support[k]),
+                                  ~mask, cache)
+            except UnsupportedClipError as err:
+                clip_errors[k] = err
                 continue
-            mask = nodes.masks[k]
-            survivors = ~mask
-            sub = subdomain_for_node(k, nodes, geometry, config)
-            row = row_builder(k, sub, problem, config, float(nodes.support[k]),
-                              survivors, cache)
-            phi = moment.phi()
-            blocks = np.einsum("nij,nl->lij", row.lam, phi)
-            beta = row.beta.copy()
-            if config.scale_rows:
-                blocks /= sub.measure
-                beta /= sub.measure
-            if nodes.tags[k] == MIXED:
-                a = phi[0]
-                ubar = problem.dirichlet(x[None, :])[0]
-                blocks[:, mask, :] = 0.0
-                for i in np.nonzero(mask)[0]:
-                    blocks[:, i, i] = a
-                    beta[i] = ubar[i]
-                row_kinds.append("mixed-replaced")
-            else:
-                row_kinds.append("weak-form")
-            for i in range(d):
-                for j in range(d):
-                    rows.append(d * k + i + np.zeros(moment.active.size, dtype=np.int64))
-                    cols.append(d * moment.active + j)
-                    vals.append(blocks[:, i, j])
-            rhs[d * k: d * k + d] = beta
-        except (mls.NodeDeficiencyError, UnsupportedClipError) as err:
-            errors.append((k, err))
+            measure = sub.measure if config.scale_rows else 1.0
+            functionals[k] = row.lam.transpose(1, 2, 0) / measure
+            rhs[d * k: d * k + d] = row.beta / measure
+        if mask.any():
+            ubar = problem.dirichlet(x[None, :])[0]
+            for i in np.nonzero(mask)[0]:
+                functionals[k, i] = 0.0
+                functionals[k, i, i, 0] = 1.0
+                rhs[d * k + i] = ubar[i]
+        row_kinds.append(_ROW_KINDS.get(int(nodes.tags[k]), "weak-form"))
+    moments = mls.gmls_batch(nodes.points, nodes.support, nodes, config.m,
+                             functionals.reshape(nodes.n, d * d, -1), eps=config.eps)
+    errors = [(k, moments.error(k) if not moments.ok[k] else clip_errors[k])
+              for k in range(nodes.n) if not moments.ok[k] or k in clip_errors]
     if errors:
         raise AssemblyError(errors)
+    # entry (i, j) of the pair (node k, active node l) sits at (d k + i, d l + j)
+    owner = np.repeat(np.arange(nodes.n), np.diff(moments.indptr))
+    shape = (d, d, owner.size)
+    rows = np.broadcast_to(d * owner + np.arange(d)[:, None, None], shape)
+    cols = np.broadcast_to(d * moments.active + np.arange(d)[None, :, None], shape)
     matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (moments.coefficients.ravel(), (rows.ravel(), cols.ravel())),
         shape=(nodes.n * d, nodes.n * d),
     ).tocsr()
     matrix.eliminate_zeros()
@@ -403,6 +396,9 @@ def assemble(nodes, problem, method: str = "dmlpg1",
         "cache_hits": cache.hits,
         "cache_misses": cache.misses,
         "cache_hit_counts": dict(cache.hit_counts),
+        "moment_cond": {"min": float(moments.cond.min(initial=math.inf)),
+                        "median": float(np.median(moments.cond)),
+                        "max": float(moments.cond.max(initial=0.0))},
         "method": method,
     }
     return GlobalSystem(matrix, rhs, row_kinds, nodes, d, stats)
@@ -447,30 +443,29 @@ def recover_field(points, nodes, u: np.ndarray, material, m: int = 2,
                   eps: float = 4.0):
     """Post-process displacement, strain, stress, and von Mises at points.
 
-    Displacements use plain shape-function rows; strains come from direct
-    derivative recovery rows assembled into Voigt form.
+    All points go through one batched GMLS solve (``mls.gmls_batch``).  Each
+    point's support radius is its nearest node's (lowest index on ties).  The
+    functionals are exact at the centre of the shifted-scaled basis: the
+    value is e_0, and d_j is e_j / delta on the linear monomial of axis j.
+    Displacements use the value row; strains assemble the derivative rows
+    into Voigt form.  A deficient point raises ``NodeDeficiencyError`` for
+    the first such point in input order.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = nodes.dim
-    nv = ela.voigt_size(d)
     tmap = ela.voigt_map(d)
     dmat = ela.elastic_matrix(material)
-    uu = np.asarray(u, dtype=float).reshape(nodes.n, d)
-    disp = np.empty((points.shape[0], d))
-    strain = np.empty((points.shape[0], nv))
-    for idx, x in enumerate(points):
-        moment = mls.MomentSystem.build(x, nodes, m, eps=eps)
-        lam = np.empty((d + 1, moment.basis.q))
-        lam[0] = moment.basis.values(x)
-        for j in range(d):
-            alpha = np.zeros(d, dtype=np.int64)
-            alpha[j] = 1
-            lam[1 + j] = moment.basis.derivative(x, alpha)
-        rows = moment.row(lam)
-        local = uu[moment.active]
-        disp[idx] = rows[0] @ local
-        grads = rows[1:] @ local          # grads[j, i] = d_j u_i
-        strain[idx] = np.einsum("vij,ji->v", tmap, grads)
+    exps = mls.monomial_exponents(m, d)
+    deltas = nodes.support[nodes.index.nearest_batch(points)]
+    lam = np.zeros((points.shape[0], d + 1, len(exps)))
+    lam[:, 0, 0] = 1.0
+    for j, unit in enumerate(np.eye(d, dtype=int)):
+        lam[:, 1 + j, exps.index(tuple(unit))] = 1.0 / deltas
+    batch = mls.gmls_batch(points, deltas, nodes, m, lam, eps=eps)
+    batch.check()
+    rec = batch.apply(np.asarray(u, dtype=float).reshape(nodes.n, d))
+    disp = rec[0]
+    strain = np.einsum("vij,jni->nv", tmap, rec[1:])   # rec[1 + j][:, i] = d_j u_i
     stress = strain @ dmat.T
     return {
         "displacement": disp,

@@ -15,7 +15,9 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy
 
+from . import __version__
 from . import assembly as asm
 from . import benchmarks as bm
 from . import geometry as geo
@@ -312,7 +314,8 @@ def run(config: RunConfig, command: str = "solve") -> dict:
         "record": "run",
         "command": command,
         "config": {f.name: getattr(config, f.name) for f in fields(RunConfig)},
-        "versions": {"dmlpg": "0.1.0", "numpy": np.__version__},
+        "versions": {"dmlpg": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
         "artifacts": artifacts,
         "results": _jsonable(results),
         "wall_times": times if config.record_times else {},

@@ -9,6 +9,7 @@ split into classified pieces.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -49,16 +50,32 @@ class PointIndex:
         idx = self._tree.query_ball_point(np.asarray(x, dtype=float), r)
         return np.sort(np.asarray(idx, dtype=np.int64))
 
+    def query_ball_batch(self, points: np.ndarray, radii: np.ndarray):
+        """Neighbour lists of many points, point i within radius radii[i].
+
+        One tree query; returns CSR arrays ``(indptr, indices)`` with point
+        i's indices, ascending, in ``indices[indptr[i]:indptr[i + 1]]``.
+        """
+        lists = self._tree.query_ball_point(np.asarray(points, dtype=float),
+                                            np.asarray(radii, dtype=float),
+                                            return_sorted=True)
+        indptr = np.zeros(len(lists) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, lists), dtype=np.int64, count=len(lists)),
+                  out=indptr[1:])
+        indices = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64,
+                              count=int(indptr[-1]))
+        return indptr, indices
+
     def nearest(self, x: np.ndarray) -> int:
         """Nearest node index; ties resolve to the lowest index."""
-        d, i = self._tree.query(np.asarray(x, dtype=float), k=4)
-        d, i = np.atleast_1d(d), np.atleast_1d(i)
-        ties = i[np.abs(d - d[0]) <= 1e-12 * max(d[0], 1.0)]
-        return int(ties.min())
+        return int(self.nearest_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def nearest_batch(self, points: np.ndarray) -> np.ndarray:
-        _, idx = self._tree.query(np.asarray(points, dtype=float), k=1)
-        return np.asarray(idx, dtype=np.int64)
+        """Nearest node index of each point; ties resolve to the lowest index."""
+        d, i = self._tree.query(np.asarray(points, dtype=float), k=4)
+        d, i = d.reshape(-1, 4), i.reshape(-1, 4)
+        ties = d - d[:, :1] <= 1e-12 * np.maximum(d[:, :1], 1.0)   # d ascending
+        return np.where(ties, i, np.iinfo(np.int64).max).min(axis=1)
 
 
 @dataclass

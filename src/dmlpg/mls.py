@@ -5,6 +5,13 @@ point; a linear functional ``lam`` applied to the basis turns the usual shape
 functions ``p(x) (P^T W P)^{-1} P^T W`` into a direct recovery of ``lam(u)``
 from nodal values.  Only weight *values* are exposed here: nothing in this
 module ever differentiates the weight function.
+
+``MomentSystem`` builds and factorizes the local fit at one point.
+``gmls_batch`` does the same work for a whole stack of points at once: one
+neighbour query, moment matrices formed and checked chunk by chunk, and one
+batched solve per chunk for any stack of functionals.  Field recovery and the
+direct assembly use the batched kernel; the single-point class is the public
+per-point API and the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -15,10 +22,15 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .geometry import NodeSet
 
 COND_LIMIT = 1e12
+
+# Padded node-point pairs per chunk of ``gmls_batch``: bounds its temporaries
+# to a few MB whatever the number of points.
+PAIR_BUDGET = 16384
 
 
 class NodeDeficiencyError(Exception):
@@ -45,6 +57,33 @@ def basis_size(m: int, dim: int) -> int:
     return math.comb(m + dim, dim)
 
 
+@lru_cache(maxsize=None)
+def _monomial_parents(m: int, dim: int) -> tuple:
+    """For each exponent after the first: (index of alpha - e_j, axis j).
+
+    j is the first axis with alpha_j > 0; the lower exponent precedes alpha
+    in the graded order, so monomials can be built by one product each.
+    """
+    exps = monomial_exponents(m, dim)
+    pos = {e: n for n, e in enumerate(exps)}
+    parents = []
+    for e in exps[1:]:
+        j = next(i for i, v in enumerate(e) if v)
+        parents.append((pos[e[:j] + (e[j] - 1,) + e[j + 1:]], j))
+    return tuple(parents)
+
+
+def monomials(z, m: int) -> np.ndarray:
+    """All monomials z^alpha with |alpha| <= m, graded order: (..., d) -> (..., Q)."""
+    z = np.asarray(z, dtype=float)
+    dim = z.shape[-1]
+    out = np.empty(z.shape[:-1] + (basis_size(m, dim),))
+    out[..., 0] = 1.0
+    for n, (parent, j) in enumerate(_monomial_parents(m, dim), start=1):
+        np.multiply(out[..., parent], z[..., j], out=out[..., n])
+    return out
+
+
 class PolyBasis:
     """Shifted-scaled monomials p_n(x) = ((x - center)/scale)^alpha."""
 
@@ -65,8 +104,7 @@ class PolyBasis:
         """Basis values at one point (Q,) or a stack of points (n, Q)."""
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
-        z = (np.atleast_2d(pts) - self.center) / self.scale
-        out = np.prod(z[:, None, :] ** self.exponents[None, :, :], axis=2)
+        out = monomials((np.atleast_2d(pts) - self.center) / self.scale, self.m)
         return out[0] if single else out
 
     def derivative(self, points, alpha) -> np.ndarray:
@@ -132,13 +170,6 @@ def weight_eval(x, y, eps: float, delta: float) -> float:
     return float(WeightFunction(eps)(d, delta))
 
 
-def basis_eval(basis: PolyBasis, x, alpha=None) -> np.ndarray:
-    """Evaluate D^alpha of the basis at x (alpha=None means plain values)."""
-    if alpha is None or not np.any(alpha):
-        return basis.values(x)
-    return basis.derivative(x, alpha)
-
-
 @dataclass
 class MomentSystem:
     """Factorized weighted normal equations of the local fit at one point."""
@@ -187,6 +218,96 @@ class MomentSystem:
         """Coefficients a(lambda) = lambda(p) A^{-1} P^T W for stacked functionals."""
         lambda_p = np.atleast_2d(np.asarray(lambda_p, dtype=float))
         return lambda_p @ self.phi()
+
+
+@dataclass
+class GmlsBatch:
+    """Recovery coefficients of a stack of functionals at many points.
+
+    Point i owns the nodes ``active[indptr[i]:indptr[i + 1]]`` (ascending)
+    and the same columns of ``coefficients`` (F, nnz).  ``cond`` is each
+    point's moment-matrix condition number (inf below Q active nodes) and
+    ``ok`` marks the points that pass the active-count and ``COND_LIMIT``
+    checks; the coefficients of a failed point are NaN.
+    """
+
+    points: np.ndarray
+    indptr: np.ndarray
+    active: np.ndarray
+    coefficients: np.ndarray
+    cond: np.ndarray
+    ok: np.ndarray
+    q: int
+
+    def error(self, i: int) -> NodeDeficiencyError:
+        """The error the single-point ``MomentSystem.build`` raises at point i."""
+        count = int(self.indptr[i + 1] - self.indptr[i])
+        detail = f"{count} active nodes for {self.q} basis functions" if count < self.q else ""
+        return NodeDeficiencyError(self.points[i], float(self.cond[i]), detail)
+
+    def check(self) -> None:
+        """Raise the error of the first failed point in input order, if any."""
+        bad = np.flatnonzero(~self.ok)
+        if bad.size:
+            raise self.error(int(bad[0]))
+
+    def apply(self, nodal_values) -> np.ndarray:
+        """Every functional contracted against per-node data: (F, n, ...)."""
+        values = np.asarray(nodal_values, dtype=float)
+        shape = (self.indptr.size - 1, values.shape[0])
+        return np.stack([sp.csr_matrix((c, self.active, self.indptr), shape=shape) @ values
+                         for c in self.coefficients])
+
+
+def gmls_batch(points, deltas, nodes: NodeSet, m: int, functionals,
+               eps: float = 4.0) -> GmlsBatch:
+    """Direct GMLS recovery of a stack of functionals at many points at once.
+
+    ``functionals`` (n, F, Q) gives each point's F functionals as their
+    action on the basis centred at the point and scaled by its support
+    radius.  Neighbours come from one radius query with
+    per-point radii ``deltas``.  The points are then worked through in
+    chunks of at most ``PAIR_BUDGET`` padded node-point pairs; each chunk
+    forms its moment matrices with one batched product, checks them with one
+    batched eigenvalue call and solves once for all functionals.  Nothing is
+    raised for a deficient point; see ``GmlsBatch.check``.
+    """
+    dim = nodes.dim
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    deltas = np.asarray(deltas, dtype=float)
+    n = points.shape[0]
+    q = basis_size(m, dim)
+    lam = np.asarray(functionals, dtype=float)
+    indptr, active = nodes.index.query_ball_batch(points, deltas)
+    counts = np.diff(indptr)
+    coefficients = np.empty((lam.shape[1], active.size))
+    cond = np.empty(n)
+    weight = WeightFunction(eps)
+    size = max(1, PAIR_BUDGET // max(int(counts.max(initial=0)), 1))
+    for s in range(0, n, size):
+        e = min(n, s + size)
+        c = counts[s:e]
+        seg = slice(indptr[s], indptr[e])
+        delta = deltas[s:e, None]
+        slot = np.arange(c.max(initial=0)) < c[:, None]    # (b, L) real pairs
+        diff = np.zeros(slot.shape + (dim,))
+        diff[slot] = nodes.points[active[seg]] - np.repeat(points[s:e], c, axis=0)
+        w = np.where(slot, weight(np.sqrt(np.einsum("bld,bld->bl", diff, diff)), delta), 0.0)
+        p = monomials(diff / delta[..., None], m)           # (b, L, Q)
+        pw = p * w[..., None]
+        a = np.matmul(pw.transpose(0, 2, 1), p)
+        eig = np.linalg.eigvalsh(a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cnd = np.where(eig[:, 0] > 0.0, eig[:, -1] / eig[:, 0], math.inf)
+        cnd[c < q] = math.inf
+        ok = cnd <= COND_LIMIT
+        cond[s:e] = cnd
+        a[~ok] = np.eye(q)
+        coef = np.matmul(pw, np.linalg.solve(a, lam[s:e].transpose(0, 2, 1)))
+        coef[~ok] = np.nan
+        coefficients[:, seg] = coef[slot].T
+    return GmlsBatch(points, indptr, active, coefficients, cond,
+                     cond <= COND_LIMIT, q)
 
 
 @dataclass

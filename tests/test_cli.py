@@ -2,8 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy
 
+import dmlpg
 from dmlpg import cli
 
 
@@ -67,6 +70,8 @@ def test_solve_writes_artifacts(manufactured_cfg):
     assert summary["record"] == "run"
     assert summary["results"]["r_u"] < 1e-8
     assert summary["config"]["problem"] == "manufactured"
+    assert summary["versions"] == {"dmlpg": dmlpg.__version__, "numpy": np.__version__,
+                                   "scipy": scipy.__version__}
 
 
 def test_study_csv_schema(tmp_path):

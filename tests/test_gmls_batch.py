@@ -1,0 +1,217 @@
+"""The batched GMLS kernel against the per-point ``MomentSystem`` oracle."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from dmlpg import assembly as asm
+from dmlpg import benchmarks as bm
+from dmlpg import geometry as geo
+from dmlpg import mls
+
+
+def _jittered_cloud():
+    """11x6 grid on [0,2]x[0,1] with interior nodes moved by up to h/4."""
+    base = geo.generate_grid_nodes((11, 6), (2.0, 1.0))
+    rng = np.random.default_rng(7)
+    pts = base.points.copy()
+    inner = np.all((pts > 1e-9) & (pts < np.array([2.0, 1.0]) - 1e-9), axis=1)
+    pts[inner] += rng.uniform(-0.25, 0.25, (int(inner.sum()), 2)) * base.mesh_size
+    return geo.NodeSet(pts, base.tags, base.masks, base.spacing, base.support,
+                       base.mesh_size)
+
+
+def _case(name):
+    """(problem, nodes, method, config, evaluation points) of one test cloud."""
+    if name == "beam":
+        problem = bm.BeamProblem()
+        return (problem, bm.beam_level_factory(problem)(0)[1], "dmlpg1",
+                asm.SolverConfig(shape="ball"), bm.beam_eval_mesh(nx=41, ny=5))
+    if name == "plate":
+        problem = bm.PlateProblem()
+        return (problem, bm.plate_level_factory(problem)(0)[1], "dmlpg1",
+                asm.SolverConfig(), bm.plate_eval_mesh(n=20))
+    if name == "shell":
+        problem = bm.BoussinesqProblem()
+        return (problem, bm.boussinesq_level_factory(problem, target=800)(0)[1],
+                "dmlpg5", asm.SolverConfig(), bm.boussinesq_eval_mesh(n_surface=10))
+    problem = bm.ManufacturedProblem(bm.quadratic_patch_coeffs(2), (2.0, 1.0))
+    points = np.random.default_rng(8).uniform([0.0, 0.0], [2.0, 1.0], (300, 2))
+    return problem, _jittered_cloud(), "dmlpg1", asm.SolverConfig(), points
+
+
+CASES = ("beam", "plate", "shell", "jittered")
+
+
+@pytest.fixture(scope="module", params=CASES)
+def case(request):
+    return _case(request.param)
+
+
+def _smooth_field(nodes):
+    x = nodes.points
+    return np.column_stack([np.sin(x[:, 0] + 0.3 * x[:, 1]) * np.cos(x[:, -1]),
+                            np.exp(-0.1 * x[:, 0]) * x[:, 1]]
+                           + ([np.cos(x[:, 2] - x[:, 0])] if nodes.dim == 3 else []))
+
+
+def _rel(a, b):
+    """Max-norm difference relative to the max norm of b (dense or sparse)."""
+    return abs(a - b).max() / abs(b).max()
+
+
+def _per_node_assemble(nodes, problem, method, config):
+    """Matrix, right-hand side and moment conditions, one ``MomentSystem`` per node."""
+    row_builder = asm.dmlpg1_row if method == "dmlpg1" else asm.dmlpg5_row
+    cache = asm.LambdaCache(config.cache)
+    d = nodes.dim
+    rows, cols, vals, conds = [], [], [], []
+    rhs = np.zeros(nodes.n * d)
+    for k, x in enumerate(nodes.points):
+        moment = mls.MomentSystem.build(x, nodes, config.m, eps=config.eps,
+                                        delta=float(nodes.support[k]))
+        conds.append(moment.cond)
+        phi = moment.phi()
+        mask = nodes.masks[k]
+        blocks = np.zeros((moment.active.size, d, d))
+        if nodes.tags[k] != geo.DIRICHLET:
+            sub = asm.subdomain_for_node(k, nodes, problem.geometry, config)
+            row = row_builder(k, sub, problem, config, float(nodes.support[k]), ~mask,
+                              cache)
+            blocks = np.einsum("nij,nl->lij", row.lam, phi)
+            rhs[d * k: d * k + d] = row.beta
+        for i in np.flatnonzero(mask):
+            blocks[:, i, :] = 0.0
+            blocks[:, i, i] = asm.collocation_coefficients(moment)
+            rhs[d * k + i] = problem.dirichlet(x[None, :])[0][i]
+        for i in range(d):
+            for j in range(d):
+                rows.append(np.full(moment.active.size, d * k + i))
+                cols.append(d * moment.active + j)
+                vals.append(blocks[:, i, j])
+    matrix = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                   np.concatenate(cols))),
+                           shape=(nodes.n * d, nodes.n * d)).tocsr()
+    return matrix, rhs, conds
+
+
+def test_recovery_matches_per_point_oracle(case):
+    problem, nodes, _, config, points = case
+    u = _smooth_field(nodes)
+    fields = asm.recover_field(points, nodes, u.ravel(), problem.material)
+    d = nodes.dim
+    disp = np.empty((len(points), d))
+    grads = np.empty((len(points), d, d))
+    for n, x in enumerate(points):
+        moment = mls.MomentSystem.build(x, nodes, config.m)
+        lam = [moment.basis.values(x)]
+        lam += [moment.basis.derivative(x, unit) for unit in np.eye(d, dtype=int)]
+        rows = moment.row(np.array(lam)) @ u[moment.active]
+        disp[n], grads[n] = rows[0], rows[1:]
+    strain = np.einsum("vij,nji->nv", asm.ela.voigt_map(d), grads)
+    assert _rel(fields["displacement"], disp) <= 1e-12
+    assert _rel(fields["strain"], strain) <= 1e-8
+
+
+def test_assembly_matches_per_node_path(case):
+    problem, nodes, method, config, _ = case
+    system = asm.assemble(nodes, problem, method, config)
+    matrix, rhs, conds = _per_node_assemble(nodes, problem, method, config)
+    assert _rel(system.matrix, matrix) <= 1e-10
+    assert np.array_equal(system.rhs, rhs)
+    # the spread of moment-matrix condition numbers is recorded, not dropped
+    cond = system.stats["moment_cond"]
+    assert cond["min"] == pytest.approx(min(conds), rel=1e-6)
+    assert cond["median"] == pytest.approx(np.median(conds), rel=1e-6)
+    assert cond["max"] == pytest.approx(max(conds), rel=1e-6)
+
+
+def test_chunk_size_does_not_change_results(monkeypatch):
+    problem, nodes, method, config, points = _case("plate")
+    u = _smooth_field(nodes).ravel()
+    system = asm.assemble(nodes, problem, method, config)
+    fields = asm.recover_field(points, nodes, u, problem.material)
+    for budget in (1, 500):
+        monkeypatch.setattr(mls, "PAIR_BUDGET", budget)
+        chunked = asm.assemble(nodes, problem, method, config)
+        assert _rel(chunked.matrix, system.matrix) <= 1e-13
+        again = asm.recover_field(points, nodes, u, problem.material)
+        for key in ("displacement", "strain"):
+            assert _rel(again[key], fields[key]) <= 1e-13
+
+
+def test_deficient_point_raises_first_in_input_order():
+    problem, nodes, *_ = _case("beam")
+    u = np.zeros(2 * nodes.n)
+    # (-3.9h, 0.5) sees one node: too few active nodes, not an empty set
+    lonely = [-3.9 * nodes.mesh_size, 0.5]
+    points = np.array([[4.0, 0.5], [100.0, 100.0], [4.1, 0.5], lonely])
+    for first, stack in ((points[1], points), (points[3], points[[0, 2, 3]])):
+        with pytest.raises(mls.NodeDeficiencyError) as info:
+            asm.recover_field(stack, nodes, u, problem.material)
+        assert np.array_equal(info.value.point, first)
+        with pytest.raises(mls.NodeDeficiencyError) as oracle:
+            mls.MomentSystem.build(first, nodes, 2)
+        assert str(info.value) == str(oracle.value)
+
+
+def test_deficient_nodes_fail_assembly_in_node_order():
+    problem = bm.ManufacturedProblem(bm.linear_patch_coeffs(2), (2.0, 1.0))
+    base = geo.generate_grid_nodes((11, 6), (2.0, 1.0))
+    # two far-away nodes see nobody but themselves
+    pts = np.vstack([base.points, [[2.0, 40.0], [2.0, 80.0]]])
+    n = pts.shape[0]
+    nodes = geo.NodeSet(pts, np.append(base.tags, [geo.NEUMANN] * 2),
+                        np.vstack([base.masks, np.zeros((2, 2), bool)]),
+                        np.append(base.spacing, [0.2] * 2),
+                        np.append(base.support, [0.8] * 2), base.mesh_size)
+    with pytest.raises(asm.AssemblyError) as info:
+        asm.assemble(nodes, problem)
+    assert [k for k, _ in info.value.failures] == [n - 2, n - 1]
+    assert all(isinstance(e, mls.NodeDeficiencyError) for _, e in info.value.failures)
+
+
+def test_empty_point_stack_returns_empty_fields():
+    problem, nodes, *_ = _case("beam")
+    fields = asm.recover_field(np.empty((0, 2)), nodes, np.zeros(2 * nodes.n),
+                               problem.material)
+    assert fields["displacement"].shape == (0, 2)
+    assert fields["strain"].shape == (0, 3)
+    assert fields["stress"].shape == (0, 3)
+    assert fields["von_mises"].shape == (0,)
+
+
+def test_nearest_batch_breaks_ties_to_lowest_index():
+    base = geo.generate_grid_nodes((9, 9), (1.0, 1.0))
+    # the midpoint of each horizontal grid edge is equidistant from its ends
+    left = np.flatnonzero(base.points[:, 0] < 1.0 - 1e-9)
+    right = [int(np.argmin(np.linalg.norm(base.points - x - [base.mesh_size, 0.0], axis=1)))
+             for x in base.points[left]]
+    mids = 0.5 * (base.points[left] + base.points[right])
+    lowest = np.minimum(left, right)
+    assert base.index.nearest_batch(mids).tolist() == lowest.tolist()
+    assert [base.nearest(x) for x in mids] == lowest.tolist()
+    # two ends with different supports: recovery uses the lowest index's
+    i, j = min(zip(lowest, np.maximum(left, right)), key=lambda e: abs(e[0] - e[1]))
+    support = base.support.copy()
+    support[i], support[j] = 0.3, 0.45
+    nodes = geo.NodeSet(base.points, base.tags, base.masks, base.spacing, support,
+                        base.mesh_size)
+    mid = 0.5 * (nodes.points[i] + nodes.points[j])
+    assert nodes.support_at(mid) == 0.3
+    u = _smooth_field(nodes)
+    material = bm.ManufacturedProblem(bm.linear_patch_coeffs(2), (1.0, 1.0)).material
+    fields = asm.recover_field(mid, nodes, u.ravel(), material)
+    moment = mls.MomentSystem.build(mid, nodes, 2, delta=0.3)
+    expect = moment.row(moment.basis.values(mid))[0] @ u[moment.active]
+    assert _rel(fields["displacement"][0], expect) <= 1e-12
+
+
+def test_nearest_batch_matches_brute_force_on_shell_mesh():
+    nodes = geo.generate_boussinesq_nodes(10.0, 0.25, 1386)
+    points = bm.boussinesq_eval_mesh()
+    dist = np.linalg.norm(points[:, None, :] - nodes.points[None, :, :], axis=2)
+    d0 = dist.min(axis=1, keepdims=True)
+    ties = dist - d0 <= 1e-12 * np.maximum(d0, 1.0)
+    lowest = np.where(ties, np.arange(nodes.n), nodes.n).min(axis=1)
+    assert nodes.index.nearest_batch(points).tolist() == lowest.tolist()
