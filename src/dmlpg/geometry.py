@@ -71,11 +71,26 @@ class PointIndex:
         return int(self.nearest_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def nearest_batch(self, points: np.ndarray) -> np.ndarray:
-        """Nearest node index of each point; ties resolve to the lowest index."""
-        d, i = self._tree.query(np.asarray(points, dtype=float), k=4)
-        d, i = d.reshape(-1, 4), i.reshape(-1, 4)
-        ties = d - d[:, :1] <= 1e-12 * np.maximum(d[:, :1], 1.0)   # d ascending
-        return np.where(ties, i, np.iinfo(np.int64).max).min(axis=1)
+        """Nearest node index of each point; ties resolve to the lowest index.
+
+        Each point looks at its 4 nearest nodes; a point whose 4 all tie (a
+        cell centre of a 3D grid has 8) asks again for twice as many.
+        """
+        points = np.asarray(points, dtype=float).reshape(-1, self.points.shape[1])
+        n = self.points.shape[0]
+        nearest = np.empty(points.shape[0], dtype=np.int64)
+        todo = np.arange(points.shape[0])
+        k = 4
+        while todo.size:
+            d, i = self._tree.query(points[todo], k=k)
+            d, i = d.reshape(-1, k), i.reshape(-1, k)
+            ties = d - d[:, :1] <= 1e-12 * np.maximum(d[:, :1], 1.0)   # d ascending
+            nearest[todo] = np.where(ties, i, np.iinfo(np.int64).max).min(axis=1)
+            if k >= n:
+                break
+            todo = todo[ties[:, -1]]
+            k = min(2 * k, n)
+        return nearest
 
 
 @dataclass
@@ -688,21 +703,6 @@ def _build_ball_subdomain(center, radius, geometry) -> Subdomain:
         _interior_builder=(lambda n, c=center.copy(), r=radius, p=polar, a=azim:
                            quad.rule_spherical(c, r, p, a, n, n)),
     )
-
-
-def rule_boundary(subdomain: Subdomain, n: int, on_gamma: bool | None = None) -> quad.QuadratureRule:
-    """Combined rule over the subdomain boundary pieces (optionally filtered
-    to pieces on/off the global boundary), with outward normals attached."""
-    rules = [p.rule(n) for p in subdomain.pieces
-             if on_gamma is None or p.on_gamma == on_gamma]
-    if not rules:
-        raise ValueError("no boundary pieces match the selector")
-    return quad.concatenate(rules)
-
-
-def rule_clipped(subdomain: Subdomain, n: int) -> quad.QuadratureRule:
-    """Composite rule over the clipped interior."""
-    return subdomain.interior_rule(n)
 
 
 def build_subdomain(center, shape: str, size: float, geometry: DomainGeometry) -> Subdomain:

@@ -136,11 +136,6 @@ def _point_supports(points, nodes):
     return nodes.support[nodes.index.nearest_batch(points)]
 
 
-def _mlpg_rules(sub, config: SolverConfig):
-    n = config.quad_mlpg
-    return sub.interior_rule(n)
-
-
 def assemble_mlpg(nodes, problem, variant: str = "mlpg1",
                   config: SolverConfig | None = None) -> GlobalSystem:
     """Assemble the classical system; BC handling matches the direct methods."""
@@ -181,7 +176,7 @@ def assemble_mlpg(nodes, problem, variant: str = "mlpg1",
             basis = mls.PolyBasis(config.m, d, x, float(nodes.support[k]))
             blocks = np.zeros((union.size, d, d))
             if variant == "mlpg1":
-                rule = _mlpg_rules(sub, config)
+                rule = sub.interior_rule(config.quad_mlpg)
                 test = test_function(sub, config)
                 eps_v = np.einsum("vij,qj->qiv", tmap, test.gradients(rule.points))
                 factors = [(rule, -np.einsum("q,qiv,vw,wjt->qijt", rule.weights,

@@ -208,16 +208,6 @@ def rule_plane_sector(center, radius: float, axis: int, side: int,
     return QuadratureRule(pts, W.ravel(), normals=normals)
 
 
-def concatenate(rules) -> QuadratureRule:
-    rules = list(rules)
-    pts = np.concatenate([r.points for r in rules])
-    wts = np.concatenate([r.weights for r in rules])
-    normals = None
-    if all(r.normals is not None for r in rules):
-        normals = np.concatenate([r.normals for r in rules])
-    return QuadratureRule(pts, wts, normals=normals)
-
-
 class RuleCache:
     """Keyed store for lazily built rules; insert is guarded by a lock."""
 

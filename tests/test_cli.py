@@ -74,6 +74,28 @@ def test_solve_writes_artifacts(manufactured_cfg):
                                    "scipy": scipy.__version__}
 
 
+def test_solve_summary_carries_solver_stats(manufactured_cfg):
+    path, out = manufactured_cfg
+    assert cli.main(["solve", "--config", str(path)]) == 0
+    summary = json.loads((out / "summary.jsonl").read_text())
+    solver = summary["results"]["solver"]
+    assert set(solver) == {"backend", "t_factor", "t_condest", "fill"}
+    # the manufactured level-0 system is small and dense
+    n_dof = 2 * summary["results"]["n_nodes"]
+    assert solver["backend"] == "dense-lu"
+    assert solver["fill"] == n_dof * n_dof
+    assert solver["t_factor"] > 0.0 and solver["t_condest"] > 0.0
+
+
+def test_solve_summary_solver_times_zeroed_without_record_times(manufactured_cfg):
+    path, out = manufactured_cfg
+    path.write_text(path.read_text() + "record_times = false\n")
+    assert cli.main(["solve", "--config", str(path)]) == 0
+    solver = json.loads((out / "summary.jsonl").read_text())["results"]["solver"]
+    assert solver["t_factor"] == 0.0 and solver["t_condest"] == 0.0
+    assert solver["fill"] > 0
+
+
 def test_study_csv_schema(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("problem = beam\nlevels = 2\n"

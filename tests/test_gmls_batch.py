@@ -207,11 +207,28 @@ def test_nearest_batch_breaks_ties_to_lowest_index():
     assert _rel(fields["displacement"][0], expect) <= 1e-12
 
 
-def test_nearest_batch_matches_brute_force_on_shell_mesh():
-    nodes = geo.generate_boussinesq_nodes(10.0, 0.25, 1386)
-    points = bm.boussinesq_eval_mesh()
+def _brute_force_nearest(points, nodes):
     dist = np.linalg.norm(points[:, None, :] - nodes.points[None, :, :], axis=2)
     d0 = dist.min(axis=1, keepdims=True)
     ties = dist - d0 <= 1e-12 * np.maximum(d0, 1.0)
-    lowest = np.where(ties, np.arange(nodes.n), nodes.n).min(axis=1)
+    return np.where(ties, np.arange(nodes.n), nodes.n).min(axis=1)
+
+
+def test_nearest_batch_matches_brute_force_on_shell_mesh():
+    nodes = geo.generate_boussinesq_nodes(10.0, 0.25, 1386)
+    points = bm.boussinesq_eval_mesh()
+    lowest = _brute_force_nearest(points, nodes)
     assert nodes.index.nearest_batch(points).tolist() == lowest.tolist()
+
+
+def test_nearest_batch_ties_beyond_four_nodes():
+    # each cell centre of a 5x5x5 grid is equidistant from its cell's 8 corners
+    nodes = geo.generate_grid_nodes((5, 5, 5), (1.0, 1.0, 1.0))
+    h = nodes.mesh_size
+    axis = (np.arange(4) + 0.5) * h
+    centres = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    dist = np.linalg.norm(centres[:, None] - nodes.points[None], axis=2)
+    assert np.all(np.isclose(dist, np.sqrt(3.0) * h / 2.0).sum(axis=1) == 8)
+    lowest = _brute_force_nearest(centres, nodes)
+    assert nodes.index.nearest_batch(centres).tolist() == lowest.tolist()
+    assert [nodes.nearest(x) for x in centres] == lowest.tolist()
