@@ -1,11 +1,16 @@
-"""Stiffness assembly for the direct methods (DMLPG1/DMLPG5).
+"""Stiffness assembly, the direct-method rows (DMLPG1/DMLPG5), solve and recovery.
 
-Each weak-form test node contributes a d x (d*Q) functional matrix: the local
-weak form applied to the shifted polynomial basis.  That matrix is integrated
-over polynomials only, cached across subdomains with identical signatures,
-and scattered through the local recovery matrix of the generalized moving
-least squares fit.  Essential boundary conditions are collocation rows; mixed
-nodes replace only their prescribed component rows.
+One node loop (``_assemble``) serves the direct and the classical methods:
+it builds each node's subdomain, collocates the prescribed components,
+scatters the global matrix and collects errors and stats.  The methods
+differ only in the row kernel that turns a local weak form into matrix
+entries.  A direct row is a d x (d*Q) functional matrix: the local weak form
+applied to the shifted polynomial basis, integrated over polynomials only,
+cached across subdomains with identical signatures, and turned into entries
+by the generalized moving least squares fit at the node.  A classical row
+(``mlpg``) integrates MLS shape-function derivatives at quadrature points and
+gives the entries directly.  Essential boundary conditions are collocation
+rows; mixed nodes replace only their prescribed component rows.
 """
 
 from __future__ import annotations
@@ -114,21 +119,17 @@ class GaussianTestFunction:
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
         self.eps = float(eps)
-        self._floor = math.exp(-eps * eps)
 
     def values(self, points) -> np.ndarray:
         r = np.linalg.norm(np.atleast_2d(points) - self.center, axis=1) / self.radius
-        w = (np.exp(-((self.eps * r) ** 2)) - self._floor) / (1.0 - self._floor)
-        return np.where(r < 1.0, w, 0.0)
+        return mls.gaussian(r, self.eps)[0]
 
     def gradients(self, points) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        diff = pts - self.center
+        diff = np.atleast_2d(points) - self.center
         dist = np.linalg.norm(diff, axis=1)
-        r = dist / self.radius
-        dphi = -2.0 * self.eps**2 * r * np.exp(-((self.eps * r) ** 2)) / (1.0 - self._floor)
+        _, dphi = mls.gaussian(dist / self.radius, self.eps)
         with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where((dist > 0.0) & (r < 1.0),
+            scale = np.where(dist > 0.0,
                              dphi / (self.radius * np.maximum(dist, 1e-300)), 0.0)
         return diff * scale[:, None]
 
@@ -145,12 +146,21 @@ def test_function(sub: Subdomain, config: SolverConfig):
 
 @dataclass
 class FunctionalRow:
-    """Local weak form applied to the basis, plus its right-hand side."""
+    """Local weak form applied to a trial basis, plus its right-hand side.
+
+    ``lam[n]`` is the d x d block of trial function n.  With ``active`` None
+    the trial functions are the shifted-scaled polynomials centred at the
+    node (the direct methods), and the GMLS fit there turns the blocks into
+    matrix entries.  Otherwise they are the MLS shape functions of the nodes
+    ``active`` (the classical methods), so the blocks are the entries.
+    """
 
     node: int
-    lam: np.ndarray             # (Q, d, d) blocks of the d x dQ functional matrix
+    lam: np.ndarray             # (Q, d, d) or (len(active), d, d)
     beta: np.ndarray            # (d,)
     cache_key: tuple | None = None
+    active: np.ndarray | None = None
+    shape_evals: int = 0        # points where shape functions were evaluated
 
 
 class LambdaCache:
@@ -322,11 +332,6 @@ def subdomain_for_node(k: int, nodes, geometry, config: SolverConfig) -> Subdoma
     return build_subdomain(center, config.shape, size, geometry)
 
 
-def collocation_coefficients(moment: mls.MomentSystem) -> np.ndarray:
-    """Shape-function values at the moment point: the basis there is e_1."""
-    return moment.phi()[0]
-
-
 _ROW_KINDS = {DIRICHLET: "dirichlet-collocation", MIXED: "mixed-replaced"}
 
 
@@ -334,75 +339,108 @@ def assemble(nodes, problem, method: str = "dmlpg1",
              config: SolverConfig | None = None) -> GlobalSystem:
     """Build the global sparse system for one of the direct methods.
 
-    Dirichlet nodes become collocation block rows, mixed nodes keep weak rows
-    only for their unprescribed components, and all remaining nodes contribute
-    pure weak-form rows.  Each node's d x d blocks are d^2 functionals on the
-    basis centred there: the weak-form blocks lam[:, i, j], or e_0 on the
-    diagonal of a prescribed component (the value at the node).  One batched
-    GMLS solve (``mls.gmls_batch``) turns every node's stack into its matrix
-    entries.
+    ``dmlpg1_row`` or ``dmlpg5_row`` integrates each weak node's local weak
+    form against the polynomial basis centred at the node; see ``_assemble``
+    for the boundary conditions, the matrix and the stats.
     """
     config = config or SolverConfig()
     if method not in ("dmlpg1", "dmlpg5"):
         raise ValueError(f"unknown direct method {method!r}")
     row_builder = dmlpg1_row if method == "dmlpg1" else dmlpg5_row
-    geometry = problem.geometry
+    return _assemble(nodes, problem, method, config, row_builder, centred=True)
+
+
+def _assemble(nodes, problem, method: str, config: SolverConfig, weak_row,
+              centred: bool) -> GlobalSystem:
+    """The node loop of every method; ``weak_row`` is the per-method kernel.
+
+    Dirichlet nodes become collocation block rows, mixed nodes keep weak rows
+    only for their unprescribed components, and all remaining nodes
+    contribute pure weak-form rows.  ``weak_row(k, sub, problem, config,
+    scale, survivors, cache)`` returns a weak node's ``FunctionalRow``.  A
+    prescribed component i is the functional e_0 (the value at the node) on
+    the diagonal block (i, i) of the basis centred at the node.  One batched
+    GMLS solve (``mls.gmls_batch``) turns the node-centred functionals into
+    matrix entries.  It runs over every node when the kernel's rows are
+    node-centred (``centred``, the direct methods), and otherwise over the
+    nodes with a prescribed component only.  Every failing node is reported,
+    in node order, in one ``AssemblyError``; a deficient moment matrix takes
+    precedence over the node's row error.
+    """
     d = nodes.dim
     cache = LambdaCache(enabled=config.cache)
     functionals = np.zeros((nodes.n, d, d, mls.basis_size(config.m, d)))
     rhs = np.zeros(nodes.n * d)
-    row_kinds = []
-    clip_errors = {}
+    row_kinds, evals, explicit = [], [], []
+    failures = {}
     t0 = time.perf_counter()
     for k in range(nodes.n):
-        x = nodes.points[k]
         mask = nodes.masks[k]
         if nodes.tags[k] != DIRICHLET:
             try:
-                sub = subdomain_for_node(k, nodes, geometry, config)
-                row = row_builder(k, sub, problem, config, float(nodes.support[k]),
-                                  ~mask, cache)
-            except UnsupportedClipError as err:
-                clip_errors[k] = err
+                sub = subdomain_for_node(k, nodes, problem.geometry, config)
+                row = weak_row(k, sub, problem, config, float(nodes.support[k]),
+                               ~mask, cache)
+            except (UnsupportedClipError, mls.NodeDeficiencyError) as err:
+                failures[k] = err
                 continue
             measure = sub.measure if config.scale_rows else 1.0
-            functionals[k] = row.lam.transpose(1, 2, 0) / measure
+            lam = row.lam / measure
+            lam[:, mask, :] = 0.0
+            if row.active is None:
+                functionals[k] = lam.transpose(1, 2, 0)
+            else:
+                explicit.append((k, row.active, lam))
             rhs[d * k: d * k + d] = row.beta / measure
+            evals.append(row.shape_evals)
         if mask.any():
-            ubar = problem.dirichlet(x[None, :])[0]
-            for i in np.nonzero(mask)[0]:
-                functionals[k, i] = 0.0
+            ubar = problem.dirichlet(nodes.points[k][None, :])[0]
+            for i in np.flatnonzero(mask):
                 functionals[k, i, i, 0] = 1.0
                 rhs[d * k + i] = ubar[i]
         row_kinds.append(_ROW_KINDS.get(int(nodes.tags[k]), "weak-form"))
-    moments = mls.gmls_batch(nodes.points, nodes.support, nodes, config.m,
-                             functionals.reshape(nodes.n, d * d, -1), eps=config.eps)
-    errors = [(k, moments.error(k) if not moments.ok[k] else clip_errors[k])
-              for k in range(nodes.n) if not moments.ok[k] or k in clip_errors]
-    if errors:
-        raise AssemblyError(errors)
-    # entry (i, j) of the pair (node k, active node l) sits at (d k + i, d l + j)
-    owner = np.repeat(np.arange(nodes.n), np.diff(moments.indptr))
-    shape = (d, d, owner.size)
-    rows = np.broadcast_to(d * owner + np.arange(d)[:, None, None], shape)
-    cols = np.broadcast_to(d * moments.active + np.arange(d)[None, :, None], shape)
-    matrix = sp.coo_matrix(
-        (moments.coefficients.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(nodes.n * d, nodes.n * d),
-    ).tocsr()
+    # a slice keeps the direct path's inputs views, not copies
+    take = slice(None) if centred else np.flatnonzero(nodes.masks.any(axis=1))
+    centres = np.arange(nodes.n)[take]
+    moments = mls.gmls_batch(
+        nodes.points[take], nodes.support[take], nodes, config.m,
+        functionals[take].reshape(centres.size, d * d, -1), eps=config.eps)
+    failures.update((int(centres[i]), moments.error(i))
+                    for i in np.flatnonzero(~moments.ok))
+    if failures:
+        raise AssemblyError(sorted(failures.items()))
+    owner = np.repeat(centres, np.diff(moments.indptr))
+    matrix = _block_matrix(owner, moments.active,
+                           moments.coefficients.reshape(d, d, -1), nodes.n)
+    if explicit:
+        owners, actives, blocks = zip(*explicit)
+        owner = np.repeat(owners, [a.size for a in actives])
+        matrix = matrix + _block_matrix(owner, np.concatenate(actives),
+                                        np.concatenate(blocks).transpose(1, 2, 0), nodes.n)
     matrix.eliminate_zeros()
+    cond = moments.cond
     stats = {
         "t_assemble": time.perf_counter() - t0,
-        "shape_evals": 0,
+        "shape_evals": sum(evals),
+        "min_evals_per_subdomain": min(evals, default=0),
         "cache_hits": cache.hits,
         "cache_misses": cache.misses,
         "cache_hit_counts": dict(cache.hit_counts),
-        "moment_cond": {"min": float(moments.cond.min(initial=math.inf)),
-                        "median": float(np.median(moments.cond)),
-                        "max": float(moments.cond.max(initial=0.0))},
+        "moment_cond": {"min": float(cond.min(initial=math.inf)),
+                        "median": float(np.median(cond)) if cond.size else math.nan,
+                        "max": float(cond.max(initial=0.0))},
         "method": method,
     }
     return GlobalSystem(matrix, rhs, row_kinds, nodes, d, stats)
+
+
+def _block_matrix(owner, active, blocks, n: int) -> sp.csr_matrix:
+    """Sum of d x d blocks: ``blocks[i, j, e]`` at (d owner[e] + i, d active[e] + j)."""
+    d = blocks.shape[0]
+    rows = np.broadcast_to(d * owner + np.arange(d)[:, None, None], blocks.shape)
+    cols = np.broadcast_to(d * active + np.arange(d)[None, :, None], blocks.shape)
+    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n * d, n * d)).tocsr()
 
 
 COND_ALERT = 1e14

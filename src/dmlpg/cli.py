@@ -60,8 +60,6 @@ class RunConfig:
     scale_rows: bool = False
     record_times: bool = True
     out: str = "out"
-    threads: int = 1
-    seed: int = 0
 
     @property
     def support_factor(self) -> float:
@@ -135,11 +133,11 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("key 'm': the direct methods need basis degree >= 2")
     positive = ["eps", "box_factor", "ball_factor", "delta_factor", "near_factor",
                 "far_factor", "quad_radial", "quad_angular", "quad_curved",
-                "quad_traction", "quad_mlpg", "levels", "load", "target", "threads"]
+                "quad_traction", "quad_mlpg", "levels", "load", "target"]
     for name in positive:
         if getattr(config, name) <= 0:
             raise ConfigError(f"key {name!r}: must be positive")
-    for name in ("quad_interior", "quad_boundary", "seed"):
+    for name in ("quad_interior", "quad_boundary"):
         if getattr(config, name) < 0:
             raise ConfigError(f"key {name!r}: must be nonnegative")
     if config.shape not in ("box", "ball", "square", "cube", "disk", "circle", "sphere"):
@@ -354,22 +352,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="run description file")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker budget (assembly currently runs on one)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; runs are deterministic")
     args = parser.parse_args(argv)
     try:
         with open(args.config) as fh:
             config = parse_config(fh.read())
         if args.out is not None:
             config.out = args.out
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("flag --threads: must be >= 1")
-            config.threads = args.threads
-        if args.seed is not None:
-            config.seed = args.seed
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

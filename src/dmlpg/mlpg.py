@@ -10,18 +10,15 @@ methods avoid entirely.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import elasticity as ela
 from . import mls
-from .assembly import (AssemblyError, GlobalSystem, SolverConfig, _beta,
-                       collocation_coefficients, subdomain_for_node,
+from .assembly import (FunctionalRow, GlobalSystem, SolverConfig, _assemble, _beta,
                        test_function)
-from .geometry import DIRICHLET, MIXED, UnsupportedClipError
 
 
 @dataclass
@@ -32,15 +29,6 @@ class ShapeFunctionEvaluation:
     active: np.ndarray
     values: np.ndarray          # (n_active,)
     gradients: np.ndarray       # (n_active, d)
-
-
-def _weight_pair(r: np.ndarray, eps: float):
-    """Weight value and radial derivative on the open support (zero outside)."""
-    floor = math.exp(-eps * eps)
-    inside = r < 1.0
-    w = np.where(inside, (np.exp(-((eps * r) ** 2)) - floor) / (1.0 - floor), 0.0)
-    dw = np.where(inside, -2.0 * eps**2 * r * np.exp(-((eps * r) ** 2)) / (1.0 - floor), 0.0)
-    return w, dw
 
 
 def batched_shape_eval(points, node_points, deltas, basis: mls.PolyBasis,
@@ -65,7 +53,7 @@ def batched_shape_eval(points, node_points, deltas, basis: mls.PolyBasis,
           - 2.0 * (points @ node_points.T))
     dist = np.sqrt(np.maximum(d2, 0.0))
     r = dist / deltas[:, None]
-    w, dphi = _weight_pair(r, eps)
+    w, dphi = mls.gaussian(r, eps)
     with np.errstate(divide="ignore", invalid="ignore"):
         radial = np.where((dist > 0.0) & (r < 1.0),
                           dphi / (deltas[:, None] * np.maximum(dist, 1e-300)), 0.0)
@@ -138,122 +126,63 @@ def _point_supports(points, nodes):
 
 def assemble_mlpg(nodes, problem, variant: str = "mlpg1",
                   config: SolverConfig | None = None) -> GlobalSystem:
-    """Assemble the classical system; BC handling matches the direct methods."""
+    """Assemble the classical system; BC handling matches the direct methods.
+
+    The node loop, the boundary conditions and the scatter are the direct
+    methods' (``assembly._assemble``); only the weak rows differ
+    (``_classical_row``).
+    """
     config = config or SolverConfig()
     if variant not in ("mlpg1", "mlpg5"):
         raise ValueError(f"unknown classical variant {variant!r}")
-    geometry = problem.geometry
+    return _assemble(nodes, problem, variant, config,
+                     partial(_classical_row, nodes, variant), centred=False)
+
+
+def _classical_row(nodes, variant: str, k: int, sub, problem, config: SolverConfig,
+                   scale: float, survivors, cache) -> FunctionalRow:
+    """Weak-form blocks of node k against the shape functions of its union set.
+
+    MLPG1 integrates the test-function gradient over the subdomain, MLPG5 the
+    traction over the boundary pieces with unknown traction; both evaluate
+    the shape-function derivatives at every quadrature point.
+    """
     d = nodes.dim
-    nv = ela.voigt_size(d)
     tmap = ela.voigt_map(d)
     dmat = ela.elastic_matrix(problem.material)
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(nodes.n * d)
-    row_kinds = []
-    errors = []
-    shape_evals = 0
-    min_per_subdomain = None
-    t0 = time.perf_counter()
-    for k in range(nodes.n):
-        x = nodes.points[k]
-        try:
-            if nodes.tags[k] == DIRICHLET:
-                moment = mls.MomentSystem.build(x, nodes, config.m, eps=config.eps,
-                                                delta=float(nodes.support[k]))
-                a = collocation_coefficients(moment)
-                ubar = problem.dirichlet(x[None, :])[0]
-                for i in range(d):
-                    rows.append(np.full(a.size, d * k + i))
-                    cols.append(d * moment.active + i)
-                    vals.append(a)
-                    rhs[d * k + i] = ubar[i]
-                row_kinds.append("dirichlet-collocation")
+    union = _union_set(k, nodes, sub)
+    basis = mls.PolyBasis(config.m, d, nodes.points[k], scale)
+    if variant == "mlpg1":
+        rule = sub.interior_rule(config.quad_mlpg)
+        test = test_function(sub, config)
+        eps_v = np.einsum("vij,qj->qiv", tmap, test.gradients(rule.points))
+        factors = [(rule, -np.einsum("q,qiv,vw,wjt->qijt", rule.weights,
+                                     eps_v, dmat, tmap), None)]
+        beta = _beta(sub, problem, config, survivors, test=test)
+    else:
+        factors = []
+        for piece in sub.pieces:
+            if piece.on_gamma and all(piece.traction_known):
                 continue
-            mask = nodes.masks[k]
-            survivors = ~mask
-            sub = subdomain_for_node(k, nodes, geometry, config)
-            union = _union_set(k, nodes, sub)
-            basis = mls.PolyBasis(config.m, d, x, float(nodes.support[k]))
-            blocks = np.zeros((union.size, d, d))
-            if variant == "mlpg1":
-                rule = sub.interior_rule(config.quad_mlpg)
-                test = test_function(sub, config)
-                eps_v = np.einsum("vij,qj->qiv", tmap, test.gradients(rule.points))
-                factors = [(rule, -np.einsum("q,qiv,vw,wjt->qijt", rule.weights,
-                                             eps_v, dmat, tmap), None)]
-                beta = _beta(sub, problem, config, survivors, test=test)
-            else:
-                factors = []
-                for piece in sub.pieces:
-                    if piece.on_gamma and all(piece.traction_known):
-                        continue
-                    prule = piece.rule(config.quad_mlpg)
-                    nq = np.einsum("vij,qj->qiv", tmap, prule.normals)
-                    a4 = np.einsum("q,qiv,vw,wjt->qijt", prule.weights, nq, dmat, tmap)
-                    known = np.asarray(piece.traction_known, dtype=bool) \
-                        if piece.on_gamma else None
-                    factors.append((prule, a4, known))
-                beta = _beta(sub, problem, config, survivors, test=None)
-            all_pts = np.concatenate([rule.points for rule, _, _ in factors])
-            deltas = _point_supports(all_pts, nodes)
-            _, grads, _ = batched_shape_eval(
-                all_pts, nodes.points[union], deltas, basis, config.eps,
-                full_cond_check=False)
-            offset = 0
-            for rule, a4, known in factors:
-                npts = rule.points.shape[0]
-                contrib = np.einsum("qijt,qlt->lij", a4,
-                                    grads[offset:offset + npts], optimize=True)
-                if known is not None:
-                    contrib[:, known, :] = 0.0
-                blocks += contrib
-                offset += npts
-            evals_here = all_pts.shape[0]
-            shape_evals += evals_here
-            if min_per_subdomain is None or evals_here < min_per_subdomain:
-                min_per_subdomain = evals_here
-            if config.scale_rows:
-                blocks /= sub.measure
-                beta = beta / sub.measure
-            if nodes.tags[k] == MIXED:
-                moment = mls.MomentSystem.build(x, nodes, config.m, eps=config.eps,
-                                                delta=float(nodes.support[k]))
-                a = collocation_coefficients(moment)
-                ubar = problem.dirichlet(x[None, :])[0]
-                blocks[:, mask, :] = 0.0
-                # collocation support may differ from the union; scatter separately
-                for i in np.nonzero(mask)[0]:
-                    rows.append(np.full(a.size, d * k + i))
-                    cols.append(d * moment.active + i)
-                    vals.append(a)
-                    beta[i] = 0.0
-                    rhs[d * k + i] = ubar[i]
-                row_kinds.append("mixed-replaced")
-                keep_rows = np.nonzero(survivors)[0]
-            else:
-                row_kinds.append("weak-form")
-                keep_rows = np.arange(d)
-            for i in keep_rows:
-                for j in range(d):
-                    rows.append(d * k + i + np.zeros(union.size, dtype=np.int64))
-                    cols.append(d * union + j)
-                    vals.append(blocks[:, i, j])
-            rhs[d * k: d * k + d] += beta
-        except (mls.NodeDeficiencyError, UnsupportedClipError) as err:
-            errors.append((k, err))
-    if errors:
-        raise AssemblyError(errors)
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nodes.n * d, nodes.n * d),
-    ).tocsr()
-    matrix.eliminate_zeros()
-    stats = {
-        "t_assemble": time.perf_counter() - t0,
-        "shape_evals": shape_evals,
-        "min_evals_per_subdomain": min_per_subdomain or 0,
-        "cache_hits": 0,
-        "cache_misses": 0,
-        "method": variant,
-    }
-    return GlobalSystem(matrix, rhs, row_kinds, nodes, d, stats)
+            prule = piece.rule(config.quad_mlpg)
+            nq = np.einsum("vij,qj->qiv", tmap, prule.normals)
+            a4 = np.einsum("q,qiv,vw,wjt->qijt", prule.weights, nq, dmat, tmap)
+            known = np.asarray(piece.traction_known, dtype=bool) \
+                if piece.on_gamma else None
+            factors.append((prule, a4, known))
+        beta = _beta(sub, problem, config, survivors, test=None)
+    all_pts = np.concatenate([rule.points for rule, _, _ in factors])
+    _, grads, _ = batched_shape_eval(
+        all_pts, nodes.points[union], _point_supports(all_pts, nodes), basis,
+        config.eps, full_cond_check=False)
+    blocks = np.zeros((union.size, d, d))
+    offset = 0
+    for rule, a4, known in factors:
+        npts = rule.points.shape[0]
+        contrib = np.einsum("qijt,qlt->lij", a4, grads[offset:offset + npts],
+                            optimize=True)
+        if known is not None:
+            contrib[:, known, :] = 0.0
+        blocks += contrib
+        offset += npts
+    return FunctionalRow(k, blocks, beta, active=union, shape_evals=all_pts.shape[0])

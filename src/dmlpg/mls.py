@@ -3,8 +3,10 @@
 The local fit uses shifted-scaled monomials centered at the evaluation/test
 point; a linear functional ``lam`` applied to the basis turns the usual shape
 functions ``p(x) (P^T W P)^{-1} P^T W`` into a direct recovery of ``lam(u)``
-from nodal values.  Only weight *values* are exposed here: nothing in this
-module ever differentiates the weight function.
+from nodal values.  The compactly supported Gaussian weight is defined once
+here (``gaussian``), with its radial derivative for the classical
+shape-function gradients and the Gaussian test function; the fits in this
+module use its values only.
 
 ``MomentSystem`` builds and factorizes the local fit at one point.
 ``gmls_batch`` does the same work for a whole stack of points at once: one
@@ -147,19 +149,30 @@ class PolyBasis:
         return out
 
 
+def gaussian(r, eps: float):
+    """Compactly supported Gaussian at scaled distances r: (value, d/dr).
+
+    (exp(-(eps r)^2) - exp(-eps^2)) / (1 - exp(-eps^2)) for r < 1; both the
+    value and the radial derivative are zero at and beyond r = 1.
+    """
+    floor = math.exp(-eps * eps)
+    inside = r < 1.0
+    g = np.exp(-((eps * r) ** 2))
+    w = np.where(inside, (g - floor) / (1.0 - floor), 0.0)
+    dw = np.where(inside, -2.0 * eps**2 * r * g / (1.0 - floor), 0.0)
+    return w, dw
+
+
 class WeightFunction:
-    """Compactly supported Gaussian weight; exposes values only."""
+    """Compactly supported Gaussian weight of distances scaled by delta."""
 
     def __init__(self, eps: float = 4.0):
         if eps <= 0.0:
             raise ValueError("shape parameter must be positive")
         self.eps = float(eps)
-        self._floor = math.exp(-eps * eps)
 
     def __call__(self, dist, delta) -> np.ndarray:
-        r = np.asarray(dist, dtype=float) / delta
-        w = (np.exp(-((self.eps * r) ** 2)) - self._floor) / (1.0 - self._floor)
-        return np.where(r < 1.0, w, 0.0)
+        return gaussian(np.asarray(dist, dtype=float) / delta, self.eps)[0]
 
 
 def weight_eval(x, y, eps: float, delta: float) -> float:

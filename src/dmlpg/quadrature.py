@@ -6,7 +6,6 @@ into the weights, so integrating a function is always ``weights @ f(points)``.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +19,6 @@ class QuadratureRule:
     points: np.ndarray  # (n, d)
     weights: np.ndarray  # (n,)
     normals: np.ndarray | None = None  # (n, d) outward unit normals
-    exactness: int | None = None  # polynomial degree, None = approximate
 
     @property
     def total_weight(self) -> float:
@@ -65,7 +63,7 @@ def rule_box(lo, hi, n_per_axis: int) -> QuadratureRule:
     wts = np.ones(1)
     for _, w in axes:
         wts = np.multiply.outer(wts, w).ravel()
-    return QuadratureRule(pts, wts, exactness=2 * n_per_axis - 1)
+    return QuadratureRule(pts, wts)
 
 
 def rule_box_face(lo, hi, axis: int, side: int, n_per_axis: int) -> QuadratureRule:
@@ -89,7 +87,7 @@ def rule_box_face(lo, hi, axis: int, side: int, n_per_axis: int) -> QuadratureRu
         wts = np.array([1.0])
     normals = np.zeros_like(pts)
     normals[:, axis] = float(side)
-    return QuadratureRule(pts, wts, normals=normals, exactness=2 * n_per_axis - 1)
+    return QuadratureRule(pts, wts, normals=normals)
 
 
 def rule_segment(p0, p1, n: int, normal) -> QuadratureRule:
@@ -100,7 +98,7 @@ def rule_segment(p0, p1, n: int, normal) -> QuadratureRule:
     pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
     wts = w * np.linalg.norm(p1 - p0)
     normals = np.broadcast_to(np.asarray(normal, dtype=float), pts.shape).copy()
-    return QuadratureRule(pts, wts, normals=normals, exactness=2 * n - 1)
+    return QuadratureRule(pts, wts, normals=normals)
 
 
 def rule_arc(center, radius: float, theta0: float, theta1: float, n: int,
@@ -207,27 +205,3 @@ def rule_plane_sector(center, radius: float, axis: int, side: int,
     normals[:, axis] = float(side)
     return QuadratureRule(pts, W.ravel(), normals=normals)
 
-
-class RuleCache:
-    """Keyed store for lazily built rules; insert is guarded by a lock."""
-
-    def __init__(self):
-        self._rules: dict = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_build(self, key, build):
-        rule = self._rules.get(key)
-        if rule is not None:
-            self.hits += 1
-            return rule
-        with self._lock:
-            rule = self._rules.get(key)
-            if rule is None:
-                rule = build()
-                self._rules[key] = rule
-                self.misses += 1
-            else:
-                self.hits += 1
-        return rule

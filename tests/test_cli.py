@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,16 +132,15 @@ def test_bad_config_exit_code(tmp_path):
     assert cli.main(["solve", "--config", str(cfg)]) == 2
 
 
-def test_threads_flag_validated(manufactured_cfg):
-    path, _ = manufactured_cfg
-    assert cli.main(["solve", "--config", str(path), "--threads", "0"]) == 2
-
-
 def test_console_entry_point(manufactured_cfg):
     path, out = manufactured_cfg
+    # the child imports the package the tests imported, installed or not
+    src = str(Path(dmlpg.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "dmlpg", "solve", "--config", str(path),
-         "--out", str(out), "--threads", "2", "--seed", "1"],
-        capture_output=True, text=True)
+         "--out", str(out)],
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "r_u" in proc.stdout

@@ -6,7 +6,9 @@ import scipy.sparse as sp
 
 from dmlpg import assembly as asm
 from dmlpg import benchmarks as bm
+from dmlpg import elasticity as ela
 from dmlpg import geometry as geo
+from dmlpg import mlpg
 from dmlpg import mls
 
 
@@ -82,7 +84,7 @@ def _per_node_assemble(nodes, problem, method, config):
             rhs[d * k: d * k + d] = row.beta
         for i in np.flatnonzero(mask):
             blocks[:, i, :] = 0.0
-            blocks[:, i, i] = asm.collocation_coefficients(moment)
+            blocks[:, i, i] = phi[0]
             rhs[d * k + i] = problem.dirichlet(x[None, :])[0][i]
         for i in range(d):
             for j in range(d):
@@ -93,6 +95,82 @@ def _per_node_assemble(nodes, problem, method, config):
                                                    np.concatenate(cols))),
                            shape=(nodes.n * d, nodes.n * d)).tocsr()
     return matrix, rhs, conds
+
+
+def _per_node_classical(nodes, problem, variant, config):
+    """Matrix, rhs, row kinds and evaluation counts of the classical methods,
+    node by node, with collocation rows from one ``MomentSystem`` per node."""
+    d = nodes.dim
+    tmap = ela.voigt_map(d)
+    dmat = ela.elastic_matrix(problem.material)
+    rows, cols, vals, kinds, evals = [], [], [], [], []
+    rhs = np.zeros(nodes.n * d)
+
+    def collocate(k, components):
+        x = nodes.points[k]
+        moment = mls.MomentSystem.build(x, nodes, config.m, eps=config.eps,
+                                        delta=float(nodes.support[k]))
+        ubar = problem.dirichlet(x[None, :])[0]
+        for i in components:
+            rows.append(np.full(moment.active.size, d * k + i))
+            cols.append(d * moment.active + i)
+            vals.append(moment.phi()[0])
+            rhs[d * k + i] = ubar[i]
+
+    for k in range(nodes.n):
+        mask = nodes.masks[k]
+        if nodes.tags[k] == geo.DIRICHLET:
+            collocate(k, range(d))
+            kinds.append("dirichlet-collocation")
+            continue
+        sub = asm.subdomain_for_node(k, nodes, problem.geometry, config)
+        union = mlpg._union_set(k, nodes, sub)
+        basis = mls.PolyBasis(config.m, d, nodes.points[k], float(nodes.support[k]))
+        if variant == "mlpg1":
+            rule = sub.interior_rule(config.quad_mlpg)
+            test = asm.test_function(sub, config)
+            eps_v = np.einsum("vij,qj->qiv", tmap, test.gradients(rule.points))
+            factors = [(rule, -np.einsum("q,qiv,vw,wjt->qijt", rule.weights, eps_v,
+                                         dmat, tmap), None)]
+            beta = asm._beta(sub, problem, config, ~mask, test=test)
+        else:
+            factors = []
+            for piece in sub.pieces:
+                if piece.on_gamma and all(piece.traction_known):
+                    continue
+                prule = piece.rule(config.quad_mlpg)
+                nq = np.einsum("vij,qj->qiv", tmap, prule.normals)
+                known = np.asarray(piece.traction_known) if piece.on_gamma else None
+                factors.append((prule, np.einsum("q,qiv,vw,wjt->qijt", prule.weights,
+                                                 nq, dmat, tmap), known))
+            beta = asm._beta(sub, problem, config, ~mask, test=None)
+        pts = np.concatenate([rule.points for rule, _, _ in factors])
+        deltas = nodes.support[nodes.index.nearest_batch(pts)]
+        _, grads, _ = mlpg.batched_shape_eval(pts, nodes.points[union], deltas, basis,
+                                              config.eps, full_cond_check=False)
+        blocks = np.zeros((union.size, d, d))
+        offset = 0
+        for rule, a4, known in factors:
+            contrib = np.einsum("qijt,qlt->lij", a4,
+                                grads[offset:offset + rule.points.shape[0]])
+            if known is not None:
+                contrib[:, known, :] = 0.0
+            blocks += contrib
+            offset += rule.points.shape[0]
+        evals.append(pts.shape[0])
+        beta[mask] = 0.0
+        rhs[d * k: d * k + d] += beta
+        collocate(k, np.flatnonzero(mask))
+        kinds.append("mixed-replaced" if nodes.tags[k] == geo.MIXED else "weak-form")
+        for i in np.flatnonzero(~mask):
+            for j in range(d):
+                rows.append(np.full(union.size, d * k + i))
+                cols.append(d * union + j)
+                vals.append(blocks[:, i, j])
+    matrix = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                   np.concatenate(cols))),
+                           shape=(nodes.n * d, nodes.n * d)).tocsr()
+    return matrix, rhs, kinds, evals
 
 
 def test_recovery_matches_per_point_oracle(case):
@@ -126,6 +204,33 @@ def test_assembly_matches_per_node_path(case):
     assert cond["max"] == pytest.approx(max(conds), rel=1e-6)
 
 
+@pytest.mark.parametrize("name, variant, shape", [("beam", "mlpg1", "ball"),
+                                                  ("plate", "mlpg5", "box")])
+def test_classical_assembly_matches_per_node_path(name, variant, shape):
+    problem, nodes, *_ = _case(name)
+    config = asm.SolverConfig(shape=shape)
+    system = mlpg.assemble_mlpg(nodes, problem, variant, config)
+    matrix, rhs, kinds, evals = _per_node_classical(nodes, problem, variant, config)
+    assert _rel(system.matrix, matrix) <= 1e-10
+    assert np.array_equal(system.rhs, rhs)
+    assert system.row_kinds == kinds
+    assert system.stats["shape_evals"] == sum(evals)
+    assert system.stats["min_evals_per_subdomain"] == min(evals)
+    if name == "plate":
+        assert "mixed-replaced" in kinds
+
+
+def test_all_methods_report_the_same_stats():
+    problem, nodes, *_ = _case("beam")
+    keys = {method: set(asm.assemble(nodes, problem, method).stats)
+            for method in ("dmlpg1", "dmlpg5")}
+    keys.update({variant: set(mlpg.assemble_mlpg(nodes, problem, variant).stats)
+                 for variant in ("mlpg1", "mlpg5")})
+    assert all(k == keys["dmlpg1"] for k in keys.values())
+    assert {"shape_evals", "min_evals_per_subdomain", "moment_cond",
+            "cache_hits"} <= keys["dmlpg1"]
+
+
 def test_chunk_size_does_not_change_results(monkeypatch):
     problem, nodes, method, config, points = _case("plate")
     u = _smooth_field(nodes).ravel()
@@ -155,7 +260,9 @@ def test_deficient_point_raises_first_in_input_order():
         assert str(info.value) == str(oracle.value)
 
 
-def test_deficient_nodes_fail_assembly_in_node_order():
+@pytest.mark.parametrize("method, error", [("dmlpg1", mls.NodeDeficiencyError),
+                                           ("mlpg1", geo.UnsupportedClipError)])
+def test_deficient_nodes_fail_assembly_in_node_order(method, error):
     problem = bm.ManufacturedProblem(bm.linear_patch_coeffs(2), (2.0, 1.0))
     base = geo.generate_grid_nodes((11, 6), (2.0, 1.0))
     # two far-away nodes see nobody but themselves
@@ -165,10 +272,13 @@ def test_deficient_nodes_fail_assembly_in_node_order():
                         np.vstack([base.masks, np.zeros((2, 2), bool)]),
                         np.append(base.spacing, [0.2] * 2),
                         np.append(base.support, [0.8] * 2), base.mesh_size)
+    assemble = asm.assemble if method.startswith("d") else mlpg.assemble_mlpg
     with pytest.raises(asm.AssemblyError) as info:
-        asm.assemble(nodes, problem)
+        assemble(nodes, problem, method)
     assert [k for k, _ in info.value.failures] == [n - 2, n - 1]
-    assert all(isinstance(e, mls.NodeDeficiencyError) for _, e in info.value.failures)
+    # a direct node's moment deficiency outranks its clip error; the classical
+    # methods fit no moment system at a weak node
+    assert all(isinstance(e, error) for _, e in info.value.failures)
 
 
 def test_empty_point_stack_returns_empty_fields():

@@ -108,12 +108,3 @@ def test_sphere_patch_area():
     rule = quad.rule_sphere_patch([0.0, 0.0, 0.0], 1.0, (0.0, math.pi), (0.0, 2.0 * math.pi), 12)
     assert abs(rule.total_weight - 4.0 * math.pi) < 1e-10
 
-
-def test_rule_cache_counts():
-    cache = quad.RuleCache()
-    builds = []
-    for _ in range(3):
-        cache.get_or_build(("k", 1), lambda: builds.append(1) or "rule")
-    assert cache.misses == 1
-    assert cache.hits == 2
-    assert len(builds) == 1
