@@ -106,8 +106,14 @@ class BoxTestFunction:
         z = (pts - self.center) * (2.0 / self.size)
         factors = (1.0 - z**2) ** self.power
         prod_all = np.prod(factors, axis=1, keepdims=True)
+        # others[:, a] is the product of every factor but axis a's.  On a face
+        # the own factor is 0 and the quotient undefined; inside the box the
+        # quotient is kept, because an ulp's change in it moves the assembled
+        # rows of ill-conditioned mixed nodes by up to 2.5e-13 relative
+        rest = np.prod(np.where(np.eye(z.shape[1], dtype=bool), 1.0, factors[:, None, :]),
+                       axis=2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            others = np.where(factors > 0.0, prod_all / factors, 0.0)
+            others = np.where(factors > 0.0, prod_all / factors, rest)
         dfac = self.power * (1.0 - z**2) ** (self.power - 1) * (-2.0 * z) * (2.0 / self.size)
         return others * dfac
 
@@ -209,35 +215,65 @@ def _piece_rule(piece, sub: Subdomain, config: SolverConfig, traction: bool):
     return piece.rule(n)
 
 
+def weak_operator(weights, vectors, dmat, tmap) -> np.ndarray:
+    """w_q (T v_q) D T at every point q, shape (q, d, d, d) indexed (q, i, j, t).
+
+    ``vectors`` (q, d) are the test-function gradients (volume rows) or the
+    outward normals (boundary rows).  Contracted with trial gradients
+    (``weak_contract``) it gives the weak-form blocks.
+    """
+    n_voigt, d = tmap.shape[:2]
+    tv = np.einsum("vij,qj->qiv", tmap, vectors) * weights[:, None, None]
+    return (tv.reshape(-1, n_voigt) @ (dmat @ tmap.reshape(n_voigt, d * d))
+            ).reshape(-1, d, d, d)
+
+
+def weak_contract(operator, grads) -> np.ndarray:
+    """sum_q,t operator[q, i, j, t] grads[q, n, t] as one GEMM: (n, d, d)."""
+    npts, d = operator.shape[:2]
+    flat = operator.transpose(0, 3, 1, 2).reshape(npts * d, d * d)
+    trial = grads.transpose(1, 0, 2).reshape(grads.shape[1], npts * d)
+    return (trial @ flat).reshape(-1, d, d)
+
+
 def _lambda_volume(sub: Subdomain, basis: mls.PolyBasis, dmat, config: SolverConfig):
     """-int eps_v D P_n over the subdomain interior (the DMLPG1 functional)."""
     rule = _interior_rule(sub, config)
     test = test_function(sub, config)
-    tmap = ela.voigt_map(basis.dim)
-    grad_v = test.gradients(rule.points)
-    grads = basis.gradients(rule.points)
-    eps_v = np.einsum("vij,qj->qiv", tmap, grad_v)
-    return -np.einsum("q,qiv,vw,wjt,qnt->nij", rule.weights, eps_v, dmat, tmap,
-                      grads, optimize=True)
+    op = weak_operator(-rule.weights, test.gradients(rule.points), dmat,
+                       ela.voigt_map(basis.dim))
+    return weak_contract(op, basis.gradients(rule.points))
 
 
 def _lambda_boundary(sub: Subdomain, basis: mls.PolyBasis, dmat, config: SolverConfig):
     """int N D P_n over boundary pieces with unknown traction (DMLPG5)."""
-    tmap = ela.voigt_map(basis.dim)
-    lam = np.zeros((basis.q, basis.dim, basis.dim))
+    points, op = boundary_operator(
+        sub, dmat, ela.voigt_map(basis.dim),
+        lambda piece: _piece_rule(piece, sub, config, traction=False))
+    return weak_contract(op, basis.gradients(points))
+
+
+def boundary_operator(sub: Subdomain, dmat, tmap, rule_of):
+    """Stacked points and ``weak_operator`` of the pieces with unknown traction.
+
+    ``rule_of(piece)`` gives a piece's rule.  Pieces whose traction is fully
+    prescribed contribute to the right-hand side only and are skipped; on
+    the other global-boundary pieces the operator rows of the prescribed
+    components are zero.
+    """
+    d = sub.center.size
+    rules, masks = [], []
     for piece in sub.pieces:
         if piece.on_gamma and all(piece.traction_known):
-            continue  # fully prescribed traction: right-hand side only
-        rule = _piece_rule(piece, sub, config, traction=False)
-        grads = basis.gradients(rule.points)
-        nq = np.einsum("vij,qj->qiv", tmap, rule.normals)
-        contrib = np.einsum("q,qiv,vw,wjt,qnt->nij", rule.weights, nq, dmat,
-                            tmap, grads, optimize=True)
-        if piece.on_gamma:
-            known = np.asarray(piece.traction_known, dtype=bool)
-            contrib[:, known, :] = 0.0
-        lam += contrib
-    return lam
+            continue
+        rules.append(rule_of(piece))
+        masks.append(piece.traction_known if piece.on_gamma else (False,) * d)
+    if not rules:
+        return np.empty((0, d)), np.empty((0, d, d, d))
+    op = weak_operator(np.concatenate([r.weights for r in rules]),
+                       np.concatenate([r.normals for r in rules]), dmat, tmap)
+    op[np.repeat(np.array(masks, dtype=bool), [r.weights.size for r in rules], axis=0)] = 0.0
+    return np.concatenate([r.points for r in rules]), op
 
 
 def _beta(sub: Subdomain, problem, config: SolverConfig, survivors,
@@ -332,6 +368,27 @@ def subdomain_for_node(k: int, nodes, geometry, config: SolverConfig) -> Subdoma
     return build_subdomain(center, config.shape, size, geometry)
 
 
+class StageTimer:
+    """Wall time summed per named stage: ``with timer("rows_s"): ...``.
+
+    A plain class, not a generator context manager: the node loop enters it
+    twice per node, so each use must cost well under a microsecond.
+    """
+
+    def __init__(self, *names):
+        self.totals = dict.fromkeys(names, 0.0)
+
+    def __call__(self, name):
+        self._name = name
+        return self
+
+    def __enter__(self):
+        self._start = time.perf_counter()
+
+    def __exit__(self, exc_type, exc, tb):
+        self.totals[self._name] += time.perf_counter() - self._start
+
+
 _ROW_KINDS = {DIRICHLET: "dirichlet-collocation", MIXED: "mixed-replaced"}
 
 
@@ -365,7 +422,8 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_row,
     node-centred (``centred``, the direct methods), and otherwise over the
     nodes with a prescribed component only.  Every failing node is reported,
     in node order, in one ``AssemblyError``; a deficient moment matrix takes
-    precedence over the node's row error.
+    precedence over the node's row error.  ``stats["stages"]`` holds the wall
+    time spent building subdomains, weak rows, moment systems and the scatter.
     """
     d = nodes.dim
     cache = LambdaCache(enabled=config.cache)
@@ -373,14 +431,17 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_row,
     rhs = np.zeros(nodes.n * d)
     row_kinds, evals, explicit = [], [], []
     failures = {}
+    stage = StageTimer("subdomains_s", "rows_s", "moments_s", "scatter_s")
     t0 = time.perf_counter()
     for k in range(nodes.n):
         mask = nodes.masks[k]
         if nodes.tags[k] != DIRICHLET:
             try:
-                sub = subdomain_for_node(k, nodes, problem.geometry, config)
-                row = weak_row(k, sub, problem, config, float(nodes.support[k]),
-                               ~mask, cache)
+                with stage("subdomains_s"):
+                    sub = subdomain_for_node(k, nodes, problem.geometry, config)
+                with stage("rows_s"):
+                    row = weak_row(k, sub, problem, config, float(nodes.support[k]),
+                                   ~mask, cache)
             except (UnsupportedClipError, mls.NodeDeficiencyError) as err:
                 failures[k] = err
                 continue
@@ -402,22 +463,25 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_row,
     # a slice keeps the direct path's inputs views, not copies
     take = slice(None) if centred else np.flatnonzero(nodes.masks.any(axis=1))
     centres = np.arange(nodes.n)[take]
-    moments = mls.gmls_batch(
-        nodes.points[take], nodes.support[take], nodes, config.m,
-        functionals[take].reshape(centres.size, d * d, -1), eps=config.eps)
+    with stage("moments_s"):
+        moments = mls.gmls_batch(
+            nodes.points[take], nodes.support[take], nodes, config.m,
+            functionals[take].reshape(centres.size, d * d, -1), eps=config.eps)
     failures.update((int(centres[i]), moments.error(i))
                     for i in np.flatnonzero(~moments.ok))
     if failures:
         raise AssemblyError(sorted(failures.items()))
-    owner = np.repeat(centres, np.diff(moments.indptr))
-    matrix = _block_matrix(owner, moments.active,
-                           moments.coefficients.reshape(d, d, -1), nodes.n)
-    if explicit:
-        owners, actives, blocks = zip(*explicit)
-        owner = np.repeat(owners, [a.size for a in actives])
-        matrix = matrix + _block_matrix(owner, np.concatenate(actives),
-                                        np.concatenate(blocks).transpose(1, 2, 0), nodes.n)
-    matrix.eliminate_zeros()
+    with stage("scatter_s"):
+        owner = np.repeat(centres, np.diff(moments.indptr))
+        matrix = _block_matrix(owner, moments.active,
+                               moments.coefficients.reshape(d, d, -1), nodes.n)
+        if explicit:
+            owners, actives, blocks = zip(*explicit)
+            owner = np.repeat(owners, [a.size for a in actives])
+            matrix = matrix + _block_matrix(owner, np.concatenate(actives),
+                                            np.concatenate(blocks).transpose(1, 2, 0),
+                                            nodes.n)
+        matrix.eliminate_zeros()
     cond = moments.cond
     stats = {
         "t_assemble": time.perf_counter() - t0,
@@ -429,6 +493,7 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_row,
         "moment_cond": {"min": float(cond.min(initial=math.inf)),
                         "median": float(np.median(cond)) if cond.size else math.nan,
                         "max": float(cond.max(initial=0.0))},
+        "stages": stage.totals,
         "method": method,
     }
     return GlobalSystem(matrix, rhs, row_kinds, nodes, d, stats)

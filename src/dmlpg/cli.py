@@ -271,12 +271,14 @@ def run(config: RunConfig, command: str = "solve") -> dict:
         rep = bm.relative_errors(u, nodes, problem, eval_pts, solver_cfg)
         artifacts += _write_profiles(out, config, problem, nodes, u, solver_cfg)
         solver = dict(system.stats["solver"])
+        stages = dict(system.stats["stages"])
         if not config.record_times:
             solver.update(t_factor=0.0, t_condest=0.0)
+            stages = dict.fromkeys(stages, 0.0)
         results = {"n_nodes": nodes.n, "r_u": rep.r_u, "r_eps": rep.r_eps,
                    "residual": system.stats["residual"],
                    "shape_evals": system.stats.get("shape_evals", 0),
-                   "solver": solver}
+                   "solver": solver, "stages": stages}
         times = {"assemble_s": system.stats["t_assemble"],
                  "solve_s": system.stats["t_solve"]}
     elif command == "study":

@@ -18,7 +18,7 @@ import numpy as np
 from . import elasticity as ela
 from . import mls
 from .assembly import (FunctionalRow, GlobalSystem, SolverConfig, _assemble, _beta,
-                       test_function)
+                       boundary_operator, test_function, weak_contract, weak_operator)
 
 
 @dataclass
@@ -155,34 +155,15 @@ def _classical_row(nodes, variant: str, k: int, sub, problem, config: SolverConf
     if variant == "mlpg1":
         rule = sub.interior_rule(config.quad_mlpg)
         test = test_function(sub, config)
-        eps_v = np.einsum("vij,qj->qiv", tmap, test.gradients(rule.points))
-        factors = [(rule, -np.einsum("q,qiv,vw,wjt->qijt", rule.weights,
-                                     eps_v, dmat, tmap), None)]
+        points = rule.points
+        op = weak_operator(-rule.weights, test.gradients(points), dmat, tmap)
         beta = _beta(sub, problem, config, survivors, test=test)
     else:
-        factors = []
-        for piece in sub.pieces:
-            if piece.on_gamma and all(piece.traction_known):
-                continue
-            prule = piece.rule(config.quad_mlpg)
-            nq = np.einsum("vij,qj->qiv", tmap, prule.normals)
-            a4 = np.einsum("q,qiv,vw,wjt->qijt", prule.weights, nq, dmat, tmap)
-            known = np.asarray(piece.traction_known, dtype=bool) \
-                if piece.on_gamma else None
-            factors.append((prule, a4, known))
+        points, op = boundary_operator(sub, dmat, tmap,
+                                       lambda piece: piece.rule(config.quad_mlpg))
         beta = _beta(sub, problem, config, survivors, test=None)
-    all_pts = np.concatenate([rule.points for rule, _, _ in factors])
     _, grads, _ = batched_shape_eval(
-        all_pts, nodes.points[union], _point_supports(all_pts, nodes), basis,
+        points, nodes.points[union], _point_supports(points, nodes), basis,
         config.eps, full_cond_check=False)
-    blocks = np.zeros((union.size, d, d))
-    offset = 0
-    for rule, a4, known in factors:
-        npts = rule.points.shape[0]
-        contrib = np.einsum("qijt,qlt->lij", a4, grads[offset:offset + npts],
-                            optimize=True)
-        if known is not None:
-            contrib[:, known, :] = 0.0
-        blocks += contrib
-        offset += npts
-    return FunctionalRow(k, blocks, beta, active=union, shape_evals=all_pts.shape[0])
+    return FunctionalRow(k, weak_contract(op, grads), beta, active=union,
+                         shape_evals=points.shape[0])

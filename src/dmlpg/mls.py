@@ -86,6 +86,40 @@ def monomials(z, m: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _first_derivative_maps(m: int, dim: int) -> np.ndarray:
+    """(Q, Q, dim) integer maps: monomials(z, m) @ maps[:, :, j] = d/dz_j of every monomial.
+
+    d/dz_j z^alpha = alpha_j z^(alpha - e_j), so column alpha holds alpha_j in
+    the row of alpha - e_j; the degree-m rows stay zero.
+    """
+    exps = monomial_exponents(m, dim)
+    pos = {e: n for n, e in enumerate(exps)}
+    maps = np.zeros((len(exps), len(exps), dim))
+    for n, e in enumerate(exps):
+        for j in range(dim):
+            if e[j]:
+                maps[pos[e[:j] + (e[j] - 1,) + e[j + 1:]], n, j] = e[j]
+    maps.flags.writeable = False
+    return maps
+
+
+@lru_cache(maxsize=None)
+def _derivative_map(m: int, alpha: tuple) -> np.ndarray:
+    """(Q, Q) map taking monomials(z, m) to D_z^alpha of every monomial.
+
+    The product of the first-derivative maps, alpha_j factors of axis j; the
+    entries are the falling-factorial coefficients, exact in floating point.
+    """
+    maps = _first_derivative_maps(m, len(alpha))
+    out = np.eye(maps.shape[0])
+    for j, a in enumerate(alpha):
+        for _ in range(a):
+            out = out @ maps[:, :, j]
+    out.flags.writeable = False
+    return out
+
+
 class PolyBasis:
     """Shifted-scaled monomials p_n(x) = ((x - center)/scale)^alpha."""
 
@@ -115,38 +149,26 @@ class PolyBasis:
         All such derivatives vanish identically, so a request for one is
         treated as a caller bug rather than silently returning zeros.
         """
-        alpha = np.asarray(alpha, dtype=np.int64)
-        order = int(alpha.sum())
+        alpha = tuple(int(a) for a in alpha)
+        order = sum(alpha)
+        if min(alpha) < 0:
+            raise ValueError(f"derivative order {alpha} has a negative entry")
         if order > self.m:
-            raise ValueError(f"derivative order {tuple(alpha)} exceeds degree {self.m}")
+            raise ValueError(f"derivative order {alpha} exceeds degree {self.m}")
         if order == 0:
             return self.values(points)
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         z = (np.atleast_2d(pts) - self.center) / self.scale
-        exps = self.exponents - alpha
-        ok = np.all(exps >= 0, axis=1)
-        # falling-factorial coefficient per basis function
-        coeff = np.prod(
-            [[math.perm(int(e), int(a)) for e in self.exponents[:, i]]
-             for i, a in enumerate(alpha)],
-            axis=0,
-        ).astype(float)
-        out = np.prod(
-            z[:, None, :] ** np.clip(exps, 0, None)[None, :, :], axis=2
-        ) * coeff[None, :] / self.scale**order
-        out[:, ~ok] = 0.0
+        out = monomials(z, self.m) @ _derivative_map(self.m, alpha) / self.scale**order
         return out[0] if single else out
 
     def gradients(self, points) -> np.ndarray:
         """First derivatives of all basis functions, shape (n, Q, d)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((pts.shape[0], self.q, self.dim))
-        for j in range(self.dim):
-            alpha = np.zeros(self.dim, dtype=np.int64)
-            alpha[j] = 1
-            out[:, :, j] = self.derivative(pts, alpha)
-        return out
+        z = (np.atleast_2d(np.asarray(points, dtype=float)) - self.center) / self.scale
+        maps = _first_derivative_maps(self.m, self.dim)
+        grads = monomials(z, self.m) @ maps.reshape(self.q, -1)
+        return grads.reshape(z.shape[0], self.q, self.dim) / self.scale
 
 
 def gaussian(r, eps: float):

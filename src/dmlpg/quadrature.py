@@ -54,15 +54,35 @@ def _angular_1d(n: int, lo: float, hi: float):
     return _mapped_1d(n, lo, hi)
 
 
+@lru_cache(maxsize=None)
+def _reference_box(n: int, d: int):
+    """Tensor Gauss grid on [-1, 1]^d: points and per-axis weights, both (n^d, d).
+
+    Index order is that of ``meshgrid(..., indexing="ij")``.
+    """
+    x, w = gauss_legendre_1d(n)
+    idx = np.indices((n,) * d).reshape(d, -1).T
+    points, weights = x[idx], w[idx]
+    points.flags.writeable = False
+    weights.flags.writeable = False
+    return points, weights
+
+
 def rule_box(lo, hi, n_per_axis: int) -> QuadratureRule:
-    """Tensor-product rule over an axis-aligned box given by corner arrays."""
+    """Tensor-product rule over an axis-aligned box given by corner arrays.
+
+    The cached reference grid is mapped axis by axis; each point's weight is
+    the product of its mapped 1D weights, taken in axis order.
+    """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    axes = [_mapped_1d(n_per_axis, a, b) for a, b in zip(lo, hi)]
-    pts = np.stack([g.ravel() for g in np.meshgrid(*[a[0] for a in axes], indexing="ij")], axis=-1)
-    wts = np.ones(1)
-    for _, w in axes:
-        wts = np.multiply.outer(wts, w).ravel()
+    ref_pts, ref_wts = _reference_box(n_per_axis, lo.size)
+    half = 0.5 * (hi - lo)
+    pts = 0.5 * (hi + lo) + half * ref_pts
+    axis_wts = half * ref_wts
+    wts = axis_wts[:, 0].copy()
+    for a in range(1, lo.size):
+        wts *= axis_wts[:, a]
     return QuadratureRule(pts, wts)
 
 

@@ -106,6 +106,47 @@ def test_weak_row_exactness_against_quadrature_oracle(beam):
             assert np.abs(lhs - lam_u).max() < 1e-9 * max(1.0, np.abs(lam_u).max())
 
 
+def _box_gradients_oracle(test, points):
+    """Division-based gradients (the former code), valid off the faces only."""
+    z = (np.atleast_2d(points) - test.center) * (2.0 / test.size)
+    factors = (1.0 - z**2) ** test.power
+    others = np.prod(factors, axis=1, keepdims=True) / factors
+    return others * test.power * (1.0 - z**2) ** (test.power - 1) * (-2.0 * z) \
+        * (2.0 / test.size)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [2, 4])
+def test_box_test_gradients_on_faces_edges_and_corners(dim, degree):
+    center = np.array([0.2, -0.1, 0.4])[:dim]
+    test = asm.BoxTestFunction(center, 2.0, degree)
+    inner = np.array([0.3, -0.45, 0.6])[:dim]
+    points = [center + inner]
+    for count in range(1, dim + 1):       # face, edge (3D), corner
+        p = center + inner
+        p[:count] = center[:count] + np.array([1.0, -1.0, 1.0])[:count]
+        points.append(p)
+    points = np.array(points)
+    h = 1e-6
+    fd = np.stack([(test.values(points + h * e) - test.values(points - h * e)) / (2 * h)
+                   for e in np.eye(dim)], axis=1)
+    grads = test.gradients(points)
+    assert np.abs(grads - fd).max() <= 1e-7
+    oracle = _box_gradients_oracle(test, points[:1])
+    assert np.abs(grads[:1] - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    if degree == 2:
+        assert np.abs(grads[1, 0]) > 0.1    # the face-normal derivative survives
+
+
+def test_stage_timers_cover_the_assembly(beam):
+    problem, nodes = beam
+    stats = asm.assemble(nodes, problem, "dmlpg5").stats
+    stages = stats["stages"]
+    assert set(stages) == {"subdomains_s", "rows_s", "moments_s", "scatter_s"}
+    assert all(t > 0.0 for t in stages.values())
+    assert sum(stages.values()) <= stats["t_assemble"]
+
+
 def test_cache_hits_on_identical_squares(beam):
     problem, nodes = beam
     config = asm.SolverConfig()
@@ -128,7 +169,7 @@ def test_cache_on_off_equivalence(beam):
     off = asm.assemble(nodes, problem, "dmlpg1", asm.SolverConfig(cache=False))
     diff = (on.matrix - off.matrix)
     scale = np.abs(on.matrix.data).max()
-    assert np.abs(diff.data).max() if diff.nnz else 0.0 <= 1e-14 * scale
+    assert (np.abs(diff.data).max() if diff.nnz else 0.0) <= 1e-14 * scale
     assert np.allclose(on.rhs, off.rhs, atol=1e-14)
 
 

@@ -87,15 +87,21 @@ def test_solve_summary_carries_solver_stats(manufactured_cfg):
     assert solver["backend"] == "dense-lu"
     assert solver["fill"] == n_dof * n_dof
     assert solver["t_factor"] > 0.0 and solver["t_condest"] > 0.0
+    stages = summary["results"]["stages"]
+    assert set(stages) == {"subdomains_s", "rows_s", "moments_s", "scatter_s"}
+    assert all(t > 0.0 for t in stages.values())
 
 
 def test_solve_summary_solver_times_zeroed_without_record_times(manufactured_cfg):
     path, out = manufactured_cfg
     path.write_text(path.read_text() + "record_times = false\n")
     assert cli.main(["solve", "--config", str(path)]) == 0
-    solver = json.loads((out / "summary.jsonl").read_text())["results"]["solver"]
+    results = json.loads((out / "summary.jsonl").read_text())["results"]
+    solver = results["solver"]
     assert solver["t_factor"] == 0.0 and solver["t_condest"] == 0.0
     assert solver["fill"] > 0
+    assert results["stages"] == dict.fromkeys(
+        ("subdomains_s", "rows_s", "moments_s", "scatter_s"), 0.0)
 
 
 def test_study_csv_schema(tmp_path):

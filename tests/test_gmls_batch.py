@@ -1,4 +1,5 @@
-"""The batched GMLS kernel against the per-point ``MomentSystem`` oracle."""
+"""The batched GMLS kernel against the per-point ``MomentSystem`` oracle, and
+the weak-form row kernels against the einsum contractions they replaced."""
 
 import numpy as np
 import pytest
@@ -97,12 +98,80 @@ def _per_node_assemble(nodes, problem, method, config):
     return matrix, rhs, conds
 
 
+def _weak_oracle(weights, vectors, dmat, tmap, grads):
+    """One 5-operand einsum per call (the former weak-form contraction)."""
+    tv = np.einsum("vij,qj->qiv", tmap, vectors)
+    return np.einsum("q,qiv,vw,wjt,qnt->nij", weights, tv, dmat, tmap, grads,
+                     optimize=True)
+
+
+def _lambda_volume_oracle(sub, basis, dmat, config):
+    rule = asm._interior_rule(sub, config)
+    test = asm.test_function(sub, config)
+    return -_weak_oracle(rule.weights, test.gradients(rule.points), dmat,
+                         ela.voigt_map(basis.dim), basis.gradients(rule.points))
+
+
+def _lambda_boundary_oracle(sub, basis, dmat, config):
+    lam = np.zeros((basis.q, basis.dim, basis.dim))
+    for piece in sub.pieces:
+        if piece.on_gamma and all(piece.traction_known):
+            continue
+        rule = asm._piece_rule(piece, sub, config, traction=False)
+        contrib = _weak_oracle(rule.weights, rule.normals, dmat,
+                               ela.voigt_map(basis.dim), basis.gradients(rule.points))
+        if piece.on_gamma:
+            contrib[:, np.asarray(piece.traction_known, dtype=bool), :] = 0.0
+        lam += contrib
+    return lam
+
+
+def _classical_row_oracle(nodes, problem, variant, config, k, sub, survivors):
+    """Union set, (union, d, d) blocks, rhs and point count of one classical
+    row, with per-piece 4-operand einsum factors (the former code)."""
+    d = nodes.dim
+    tmap = ela.voigt_map(d)
+    dmat = ela.elastic_matrix(problem.material)
+    union = mlpg._union_set(k, nodes, sub)
+    basis = mls.PolyBasis(config.m, d, nodes.points[k], float(nodes.support[k]))
+    if variant == "mlpg1":
+        rule = sub.interior_rule(config.quad_mlpg)
+        test = asm.test_function(sub, config)
+        eps_v = np.einsum("vij,qj->qiv", tmap, test.gradients(rule.points))
+        factors = [(rule, -np.einsum("q,qiv,vw,wjt->qijt", rule.weights, eps_v,
+                                     dmat, tmap), None)]
+        beta = asm._beta(sub, problem, config, survivors, test=test)
+    else:
+        factors = []
+        for piece in sub.pieces:
+            if piece.on_gamma and all(piece.traction_known):
+                continue
+            prule = piece.rule(config.quad_mlpg)
+            nq = np.einsum("vij,qj->qiv", tmap, prule.normals)
+            known = np.asarray(piece.traction_known) if piece.on_gamma else None
+            factors.append((prule, np.einsum("q,qiv,vw,wjt->qijt", prule.weights,
+                                             nq, dmat, tmap), known))
+        beta = asm._beta(sub, problem, config, survivors, test=None)
+    pts = np.concatenate([rule.points for rule, _, _ in factors])
+    deltas = nodes.support[nodes.index.nearest_batch(pts)]
+    _, grads, _ = mlpg.batched_shape_eval(pts, nodes.points[union], deltas, basis,
+                                          config.eps, full_cond_check=False)
+    blocks = np.zeros((union.size, d, d))
+    offset = 0
+    for rule, a4, known in factors:
+        contrib = np.einsum("qijt,qlt->lij", a4,
+                            grads[offset:offset + rule.points.shape[0]], optimize=True)
+        if known is not None:
+            contrib[:, known, :] = 0.0
+        blocks += contrib
+        offset += rule.points.shape[0]
+    return union, blocks, beta, pts.shape[0]
+
+
 def _per_node_classical(nodes, problem, variant, config):
     """Matrix, rhs, row kinds and evaluation counts of the classical methods,
     node by node, with collocation rows from one ``MomentSystem`` per node."""
     d = nodes.dim
-    tmap = ela.voigt_map(d)
-    dmat = ela.elastic_matrix(problem.material)
     rows, cols, vals, kinds, evals = [], [], [], [], []
     rhs = np.zeros(nodes.n * d)
 
@@ -124,40 +193,9 @@ def _per_node_classical(nodes, problem, variant, config):
             kinds.append("dirichlet-collocation")
             continue
         sub = asm.subdomain_for_node(k, nodes, problem.geometry, config)
-        union = mlpg._union_set(k, nodes, sub)
-        basis = mls.PolyBasis(config.m, d, nodes.points[k], float(nodes.support[k]))
-        if variant == "mlpg1":
-            rule = sub.interior_rule(config.quad_mlpg)
-            test = asm.test_function(sub, config)
-            eps_v = np.einsum("vij,qj->qiv", tmap, test.gradients(rule.points))
-            factors = [(rule, -np.einsum("q,qiv,vw,wjt->qijt", rule.weights, eps_v,
-                                         dmat, tmap), None)]
-            beta = asm._beta(sub, problem, config, ~mask, test=test)
-        else:
-            factors = []
-            for piece in sub.pieces:
-                if piece.on_gamma and all(piece.traction_known):
-                    continue
-                prule = piece.rule(config.quad_mlpg)
-                nq = np.einsum("vij,qj->qiv", tmap, prule.normals)
-                known = np.asarray(piece.traction_known) if piece.on_gamma else None
-                factors.append((prule, np.einsum("q,qiv,vw,wjt->qijt", prule.weights,
-                                                 nq, dmat, tmap), known))
-            beta = asm._beta(sub, problem, config, ~mask, test=None)
-        pts = np.concatenate([rule.points for rule, _, _ in factors])
-        deltas = nodes.support[nodes.index.nearest_batch(pts)]
-        _, grads, _ = mlpg.batched_shape_eval(pts, nodes.points[union], deltas, basis,
-                                              config.eps, full_cond_check=False)
-        blocks = np.zeros((union.size, d, d))
-        offset = 0
-        for rule, a4, known in factors:
-            contrib = np.einsum("qijt,qlt->lij", a4,
-                                grads[offset:offset + rule.points.shape[0]])
-            if known is not None:
-                contrib[:, known, :] = 0.0
-            blocks += contrib
-            offset += rule.points.shape[0]
-        evals.append(pts.shape[0])
+        union, blocks, beta, npts = _classical_row_oracle(nodes, problem, variant,
+                                                          config, k, sub, ~mask)
+        evals.append(npts)
         beta[mask] = 0.0
         rhs[d * k: d * k + d] += beta
         collocate(k, np.flatnonzero(mask))
@@ -218,6 +256,54 @@ def test_classical_assembly_matches_per_node_path(name, variant, shape):
     assert system.stats["min_evals_per_subdomain"] == min(evals)
     if name == "plate":
         assert "mixed-replaced" in kinds
+
+
+def _weak_nodes(nodes, problem, config, count=None):
+    """Non-Dirichlet nodes and their subdomains; ``count`` spreads a sample
+    over the nodes whose subdomains touch the global boundary and the rest."""
+    subs = {k: asm.subdomain_for_node(k, nodes, problem.geometry, config)
+            for k in range(nodes.n) if nodes.tags[k] != geo.DIRICHLET}
+    if count is None:
+        return list(subs.items())
+    on_gamma = {k: any(p.on_gamma for p in sub.pieces) for k, sub in subs.items()}
+    edge = [k for k in subs if on_gamma[k]]
+    inner = [k for k in subs if not on_gamma[k]]
+    pick = [group[i] for group in (edge, inner)
+            for i in np.unique(np.linspace(0, len(group) - 1, count).astype(int))
+            if group]
+    return [(k, subs[k]) for k in pick]
+
+
+def _row_close(a, b):
+    """Max-norm difference within 1e-13 of the oracle b's max norm."""
+    return np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("name", ["beam", "plate", "shell"])
+def test_direct_row_kernels_match_einsum_oracle(name):
+    problem, nodes, _, config, _ = _case(name)
+    dmat = ela.elastic_matrix(problem.material)
+    for k, sub in _weak_nodes(nodes, problem, config):
+        basis = mls.PolyBasis(config.m, nodes.dim, sub.center, float(nodes.support[k]))
+        assert _row_close(asm._lambda_volume(sub, basis, dmat, config),
+                          _lambda_volume_oracle(sub, basis, dmat, config))
+        assert _row_close(asm._lambda_boundary(sub, basis, dmat, config),
+                          _lambda_boundary_oracle(sub, basis, dmat, config))
+
+
+@pytest.mark.parametrize("name", ["beam", "plate", "shell"])
+@pytest.mark.parametrize("variant", ["mlpg1", "mlpg5"])
+def test_classical_row_matches_einsum_oracle(name, variant):
+    problem, nodes, _, config, _ = _case(name)
+    for k, sub in _weak_nodes(nodes, problem, config, count=4):
+        survivors = ~nodes.masks[k]
+        row = mlpg._classical_row(nodes, variant, k, sub, problem, config,
+                                  float(nodes.support[k]), survivors, None)
+        union, blocks, beta, npts = _classical_row_oracle(nodes, problem, variant,
+                                                          config, k, sub, survivors)
+        assert np.array_equal(row.active, union) and row.shape_evals == npts
+        assert _row_close(row.lam, blocks)
+        assert np.array_equal(row.beta, beta)
 
 
 def test_all_methods_report_the_same_stats():

@@ -68,6 +68,38 @@ def test_basis_rejects_high_derivative():
     b = mls.PolyBasis(2, 2, [0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         b.derivative([0.0, 0.0], [3, 0])
+    with pytest.raises(ValueError):
+        b.derivative([0.0, 0.0], [2, -1])
+
+
+def _derivative_oracle(basis, points, alpha):
+    """D^alpha from per-call falling factorials and float powers (the former code)."""
+    alpha = np.asarray(alpha, dtype=np.int64)
+    z = (np.atleast_2d(points) - basis.center) / basis.scale
+    exps = basis.exponents - alpha
+    coeff = np.prod([[math.perm(int(e), int(a)) for e in basis.exponents[:, i]]
+                     for i, a in enumerate(alpha)], axis=0).astype(float)
+    out = np.prod(z[:, None, :] ** np.clip(exps, 0, None)[None, :, :], axis=2) \
+        * coeff[None, :] / basis.scale**int(alpha.sum())
+    out[:, ~np.all(exps >= 0, axis=1)] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_derivative_maps_match_falling_factorials(m, dim):
+    rng = np.random.default_rng(10 * m + dim)
+    basis = mls.PolyBasis(m, dim, rng.uniform(-1.0, 1.0, dim), 0.37)
+    points = basis.center + rng.uniform(-0.5, 0.5, (7, dim))
+    for alpha in np.ndindex(*(m + 1,) * dim):
+        if 0 < sum(alpha) <= m:
+            got = basis.derivative(points, alpha)
+            want = _derivative_oracle(basis, points, alpha)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.array_equal(basis.derivative(points[0], alpha), got[0])
+    units = np.eye(dim, dtype=int)
+    stacked = np.stack([basis.derivative(points, e) for e in units], axis=-1)
+    assert np.array_equal(basis.gradients(points), stacked)
 
 
 def test_mls_partition_of_unity(beam_nodes):

@@ -83,6 +83,37 @@ def test_box_face_rules():
     assert abs(total - 6 * 0.25) < 1e-14
 
 
+def _rule_box_oracle(lo, hi, n):
+    """Tensor rule from one meshgrid per call (the former construction)."""
+    axes = [quad._mapped_1d(n, a, b) for a, b in zip(lo, hi)]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*[a[0] for a in axes], indexing="ij")],
+                   axis=-1)
+    wts = np.ones(1)
+    for _, w in axes:
+        wts = np.multiply.outer(wts, w).ravel()
+    return pts, wts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_box_rules_equal_meshgrid_construction(d):
+    rng = np.random.default_rng(d)
+    for n in range(1, 6):
+        lo = rng.uniform(-2.0, 1.0, d)
+        hi = lo + rng.uniform(0.1, 3.0, d)
+        rule = quad.rule_box(lo, hi, n)
+        pts, wts = _rule_box_oracle(lo, hi, n)
+        assert np.array_equal(rule.points, pts) and np.array_equal(rule.weights, wts)
+        for axis in range(d):
+            free = [i for i in range(d) if i != axis]
+            sub_pts, sub_wts = _rule_box_oracle(lo[free], hi[free], n) if free \
+                else (np.empty((1, 0)), np.ones(1))
+            for side in (-1, 1):
+                face = quad.rule_box_face(lo, hi, axis, side, n)
+                assert np.array_equal(face.points[:, free], sub_pts)
+                assert np.all(face.points[:, axis] == (lo if side < 0 else hi)[axis])
+                assert np.array_equal(face.weights, sub_wts)
+
+
 def test_full_circle_boundary():
     r = quad.rule_arc([0.0, 0.0], 2.0, 0.0, 2.0 * math.pi, 10)
     assert abs(r.total_weight - 4.0 * math.pi) < 1e-12
