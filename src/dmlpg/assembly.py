@@ -28,7 +28,7 @@ from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 from . import elasticity as ela
 from . import mls
 from .geometry import (DIRICHLET, MIXED, Subdomain, UnsupportedClipError,
-                       build_subdomain)
+                       build_subdomain, canonical_shape, whole_subdomains)
 
 _GEOM_TOL = 1e-12
 
@@ -194,6 +194,11 @@ class LambdaCache:
             self.hit_counts[key] = self.hit_counts.get(key, 0) + 1
         return value
 
+    def record_hits(self, key, count: int) -> None:
+        """Count ``count`` hits on ``key`` served without a lookup."""
+        if count:
+            self.hit_counts[key] = self.hit_counts.get(key, 0) + count
+
 
 def _interior_rule(sub: Subdomain, config: SolverConfig):
     if sub.shape == "box":
@@ -347,25 +352,99 @@ class GlobalSystem:
     stats: dict = field(default_factory=dict)
 
 
-def subdomain_for_node(k: int, nodes, geometry, config: SolverConfig) -> Subdomain:
+@dataclass
+class SubdomainPlan:
+    """The shape/size policy's decisions for a stack of nodes.
+
+    ``shape`` ("box" or "ball") and ``size`` are what ``build_subdomain``
+    receives.  ``whole`` marks the subdomains no boundary clips and
+    ``extent`` holds their relative bounds (``geometry.whole_subdomains``),
+    which with the shape and size make up a whole subdomain's signature.
+    """
+
+    shape: np.ndarray           # (n,) str
+    size: np.ndarray            # (n,) side length (box) or radius (ball)
+    whole: np.ndarray           # (n,) bool
+    extent: np.ndarray          # (n, 2, d)
+
+
+def plan_subdomains(points, spacing, geometry, config: SolverConfig) -> SubdomainPlan:
     """Shape/size policy: curved-boundary nodes get clipped disks or balls;
     everything else uses the configured shape shrunk clear of curved cuts."""
-    center = nodes.points[k]
-    spacing = nodes.spacing[k]
-    tol = _GEOM_TOL * max(1.0, float(np.max(np.abs(center))))
-    clearance = geometry.curved_clearance(center)
-    if clearance <= tol:
-        return build_subdomain(center, "ball", config.ball_factor * spacing, geometry)
-    if config.shape == "box":
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    spacing = np.asarray(spacing, dtype=float)
+    tol = _GEOM_TOL * np.maximum(1.0, np.abs(points).max(axis=1))
+    clearance = geometry.curved_clearance(points)
+    shape = canonical_shape(config.shape)
+    if shape == "box":
         size = config.box_factor * spacing
-        cap = 2.0 * clearance / math.sqrt(nodes.dim)
-        if size > cap:
-            size = cap * (1.0 - 1e-9)
+        cap = 2.0 * clearance / math.sqrt(points.shape[1])
+        size = np.where(size > cap, cap * (1.0 - 1e-9), size)
     else:
         size = config.ball_factor * spacing
-        if size > clearance:
-            size = clearance * (1.0 - 1e-9)
-    return build_subdomain(center, config.shape, size, geometry)
+        size = np.where(size > clearance, clearance * (1.0 - 1e-9), size)
+    curved = clearance <= tol
+    size = np.where(curved, config.ball_factor * spacing, size)
+    shapes = np.where(curved, "ball", shape)
+    whole, extent = whole_subdomains(points, shapes == "ball", size, geometry)
+    return SubdomainPlan(shapes, size, whole, extent)
+
+
+def subdomain_for_node(k: int, nodes, geometry, config: SolverConfig) -> Subdomain:
+    """Node k's subdomain under the policy of ``plan_subdomains``."""
+    plan = plan_subdomains(nodes.points[k:k + 1], nodes.spacing[k:k + 1], geometry,
+                           config)
+    return build_subdomain(nodes.points[k], plan.shape[0], plan.size[0], geometry)
+
+
+def _signature_groups(plan: SubdomainPlan, nodes, candidates) -> dict:
+    """The candidates with whole subdomains, grouped by cache key.
+
+    Within one assembly a key varies only in the support radius (the basis
+    scale) and the signature.  Returns {lowest index: the group's nodes,
+    ascending}.
+    """
+    k = candidates[plan.whole[candidates]]
+    if not k.size:
+        return {}
+    keys = np.column_stack([plan.shape[k] == "ball", nodes.support[k],
+                            plan.extent[k].reshape(k.size, -1)])
+    order = np.lexsort(keys.T)          # stable: ascending node order in a group
+    keys = keys[order]
+    starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+    return {int(g[0]): g for g in np.split(k[order], starts)}
+
+
+# The node loop builds rows in batches that share one ``problem.traction``
+# call: at most about TRACTION_BUDGET prescribed-traction points and
+# BATCH_NODES subdomains, so the pending subdomains stay few
+TRACTION_BUDGET = 4096
+BATCH_NODES = 64
+
+
+class _StackedTraction:
+    """``problem`` whose ``traction`` is served from one stacked evaluation.
+
+    ``problem.traction`` runs once on the points of ``rules``.  A later call
+    with one of those rules' ``points`` arrays returns its slice of the
+    result; any other call goes to ``problem.traction``.
+    """
+
+    def __init__(self, problem, rules):
+        self._problem = problem
+        self._slices = {}
+        if rules:
+            tbar = problem.traction(np.concatenate([r.points for r in rules]),
+                                    np.concatenate([r.normals for r in rules]))
+            bounds = np.cumsum([r.weights.size for r in rules])[:-1]
+            self._slices = {id(r.points): t for r, t in zip(rules, np.split(tbar, bounds))}
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def traction(self, points, normals):
+        tbar = self._slices.get(id(points))
+        return self._problem.traction(points, normals) if tbar is None else tbar
 
 
 class StageTimer:
@@ -407,59 +486,138 @@ def assemble(nodes, problem, method: str = "dmlpg1",
     return _assemble(nodes, problem, method, config, row_builder, centred=True)
 
 
+def _weak_rows(nodes, problem, method: str, config: SolverConfig, weak_row,
+               grouped: bool, cache: LambdaCache, stage: StageTimer):
+    """The weak rows of the node loop, with ``weak_row(k, sub, problem,
+    config, scale, survivors, cache)`` giving a node's ``FunctionalRow``.
+
+    ``plan_subdomains`` sizes every subdomain in one pass.  When ``grouped``
+    (the direct methods with the cache on), the nodes whose subdomains no
+    boundary clips are grouped by cache key: the lowest-index node of each
+    group builds its subdomain and row, and the others take its functional
+    and only the body-force term of the right-hand side (zero without a body
+    force; with one, each member builds its subdomain for it).  Every other
+    weak node builds its own.  Rows are built in node order, in batches that
+    share one ``problem.traction`` call (``TRACTION_BUDGET``, ``BATCH_NODES``).
+
+    Returns the node-centred functionals (n, d, d, Q), the right-hand side,
+    the explicit ``(node, active, blocks)`` rows of the classical kernels,
+    each built row's shape-evaluation count, the failures {node: error} and
+    ``stats["groups"]``: the groups, the nodes they serve and the subdomains
+    built.
+    """
+    d = nodes.dim
+    functionals = np.zeros((nodes.n, d, d, mls.basis_size(config.m, d)))
+    rhs = np.zeros(nodes.n * d)
+    evals, explicit = [], []
+    failures = {}
+    weak = np.flatnonzero(nodes.tags != DIRICHLET)
+    with stage("subdomains_s"):
+        plan = plan_subdomains(nodes.points, nodes.spacing, problem.geometry, config)
+        groups = _signature_groups(plan, nodes, weak) if grouped else {}
+    served = np.zeros(nodes.n, dtype=bool)      # nodes a group's first node serves
+    for members in groups.values():
+        served[members[1:]] = True
+    built = weak[~served[weak]]
+    counts = {"groups": len(groups),
+              "grouped_nodes": int(sum(g.size for g in groups.values())),
+              "subdomains_built": int(built.size)}
+
+    def store(k, row, beta, measure):
+        lam = row.lam / measure
+        lam[:, nodes.masks[k], :] = 0.0
+        if row.active is None:
+            functionals[k] = lam.transpose(1, 2, 0)
+        else:
+            explicit.append((k, row.active, lam))
+        rhs[d * k: d * k + d] = beta / measure
+
+    def serve_group(members, row, sub):
+        """The rows of a group's other nodes from its first node's ``row``."""
+        cache.record_hits(row.cache_key, len(members))
+        if getattr(problem, "body", None) is None:
+            measures = np.ones(len(members))
+            if config.scale_rows:
+                measures = _whole_measures(nodes, plan, members, sub)
+            block = row.lam.transpose(1, 2, 0)[None] / measures[:, None, None, None]
+            block[nodes.masks[members]] = 0.0
+            functionals[members] = block      # the right-hand sides stay zero
+            return
+        for j in members:       # a body force needs each member's own rule
+            member = build_subdomain(nodes.points[j], plan.shape[j], plan.size[j],
+                                     problem.geometry)
+            test = test_function(member, config) if method == "dmlpg1" else None
+            store(j, row, _beta(member, problem, config, ~nodes.masks[j], test),
+                  member.measure if config.scale_rows else 1.0)
+        counts["subdomains_built"] += len(members)
+
+    def build_rows(batch, rules):
+        view = _StackedTraction(problem, rules)
+        for k, sub in batch:
+            try:
+                row = weak_row(k, sub, view, config, float(nodes.support[k]),
+                               ~nodes.masks[k], cache)
+            except (UnsupportedClipError, mls.NodeDeficiencyError) as err:
+                failures.update(dict.fromkeys(map(int, groups.get(k, [k])), err))
+                continue
+            evals.append(row.shape_evals)
+            store(k, row, row.beta, sub.measure if config.scale_rows else 1.0)
+            if k in groups:
+                serve_group(groups[k][1:], row, sub)
+
+    batch, rules, points = [], [], 0
+    for k in built.tolist():
+        with stage("subdomains_s"):
+            try:
+                sub = build_subdomain(nodes.points[k], plan.shape[k], plan.size[k],
+                                      problem.geometry)
+            except UnsupportedClipError as err:
+                failures[k] = err
+                continue
+            batch.append((k, sub))
+            for piece in sub.pieces:
+                if piece.on_gamma and any(piece.traction_known):
+                    rules.append(_piece_rule(piece, sub, config, traction=True))
+                    points += rules[-1].weights.size
+        if points >= TRACTION_BUDGET or len(batch) >= BATCH_NODES:
+            with stage("rows_s"):
+                build_rows(batch, rules)
+            batch, rules, points = [], [], 0
+    with stage("rows_s"):
+        build_rows(batch, rules)
+    return functionals, rhs, explicit, evals, failures, counts
+
+
 def _assemble(nodes, problem, method: str, config: SolverConfig, weak_row,
               centred: bool) -> GlobalSystem:
     """The node loop of every method; ``weak_row`` is the per-method kernel.
 
     Dirichlet nodes become collocation block rows, mixed nodes keep weak rows
     only for their unprescribed components, and all remaining nodes
-    contribute pure weak-form rows.  ``weak_row(k, sub, problem, config,
-    scale, survivors, cache)`` returns a weak node's ``FunctionalRow``.  A
-    prescribed component i is the functional e_0 (the value at the node) on
-    the diagonal block (i, i) of the basis centred at the node.  One batched
-    GMLS solve (``mls.gmls_batch``) turns the node-centred functionals into
-    matrix entries.  It runs over every node when the kernel's rows are
-    node-centred (``centred``, the direct methods), and otherwise over the
-    nodes with a prescribed component only.  Every failing node is reported,
-    in node order, in one ``AssemblyError``; a deficient moment matrix takes
+    contribute pure weak-form rows (``_weak_rows``).  A prescribed component
+    i is the functional e_0 (the value at the node) on the diagonal block
+    (i, i) of the basis centred at the node.  One batched GMLS solve
+    (``mls.gmls_batch``) turns the node-centred functionals into matrix
+    entries.  It runs over every node when the kernel's rows are node-centred
+    (``centred``, the direct methods), and otherwise over the nodes with a
+    prescribed component only.  Every failing node is reported, in node
+    order, in one ``AssemblyError``; a deficient moment matrix takes
     precedence over the node's row error.  ``stats["stages"]`` holds the wall
-    time spent building subdomains, weak rows, moment systems and the scatter.
+    time spent on subdomains, weak rows, moment systems and the scatter.
     """
     d = nodes.dim
     cache = LambdaCache(enabled=config.cache)
-    functionals = np.zeros((nodes.n, d, d, mls.basis_size(config.m, d)))
-    rhs = np.zeros(nodes.n * d)
-    row_kinds, evals, explicit = [], [], []
-    failures = {}
     stage = StageTimer("subdomains_s", "rows_s", "moments_s", "scatter_s")
     t0 = time.perf_counter()
-    for k in range(nodes.n):
-        mask = nodes.masks[k]
-        if nodes.tags[k] != DIRICHLET:
-            try:
-                with stage("subdomains_s"):
-                    sub = subdomain_for_node(k, nodes, problem.geometry, config)
-                with stage("rows_s"):
-                    row = weak_row(k, sub, problem, config, float(nodes.support[k]),
-                                   ~mask, cache)
-            except (UnsupportedClipError, mls.NodeDeficiencyError) as err:
-                failures[k] = err
-                continue
-            measure = sub.measure if config.scale_rows else 1.0
-            lam = row.lam / measure
-            lam[:, mask, :] = 0.0
-            if row.active is None:
-                functionals[k] = lam.transpose(1, 2, 0)
-            else:
-                explicit.append((k, row.active, lam))
-            rhs[d * k: d * k + d] = row.beta / measure
-            evals.append(row.shape_evals)
-        if mask.any():
-            ubar = problem.dirichlet(nodes.points[k][None, :])[0]
-            for i in np.flatnonzero(mask):
-                functionals[k, i, i, 0] = 1.0
-                rhs[d * k + i] = ubar[i]
-        row_kinds.append(_ROW_KINDS.get(int(nodes.tags[k]), "weak-form"))
+    functionals, rhs, explicit, evals, failures, counts = _weak_rows(
+        nodes, problem, method, config, weak_row, centred and config.cache, cache,
+        stage)
+    for k in np.flatnonzero(nodes.masks.any(axis=1)):
+        # one point per call: a stacked call may round differently (BLAS)
+        ubar = problem.dirichlet(nodes.points[k][None, :])[0]
+        for i in np.flatnonzero(nodes.masks[k]):
+            functionals[k, i, i, 0] = 1.0
+            rhs[d * k + i] = ubar[i]
     # a slice keeps the direct path's inputs views, not copies
     take = slice(None) if centred else np.flatnonzero(nodes.masks.any(axis=1))
     centres = np.arange(nodes.n)[take]
@@ -494,9 +652,22 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_row,
                         "median": float(np.median(cond)) if cond.size else math.nan,
                         "max": float(cond.max(initial=0.0))},
         "stages": stage.totals,
+        "groups": counts,
         "method": method,
     }
+    row_kinds = [_ROW_KINDS.get(int(tag), "weak-form") for tag in nodes.tags]
     return GlobalSystem(matrix, rhs, row_kinds, nodes, d, stats)
+
+
+def _whole_measures(nodes, plan: SubdomainPlan, members, sub: Subdomain) -> np.ndarray:
+    """Measures of whole subdomains sharing ``sub``'s signature, as their
+    builders form them: a box's from its own corners, a ball's from the
+    radius the group shares."""
+    if sub.shape == "ball":
+        return np.full(len(members), sub.measure)
+    centres = nodes.points[members]
+    half = 0.5 * plan.size[members][:, None]
+    return np.prod((centres + half) - (centres - half), axis=1)
 
 
 def _block_matrix(owner, active, blocks, n: int) -> sp.csr_matrix:
@@ -631,16 +802,3 @@ def recover_field(points, nodes, u: np.ndarray, material, m: int = 2,
         "stress": stress,
         "von_mises": ela.von_mises(stress),
     }
-
-
-def dump_system(system: GlobalSystem, path) -> None:
-    """Plain-text coordinate dump (row col value) plus the right-hand side."""
-    coo = system.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"# dmlpg-system n={system.matrix.shape[0]} nnz={coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {v:.17g}\n")
-        fh.write("# rhs\n")
-        for v in system.rhs:
-            fh.write(f"{v:.17g}\n")

@@ -278,7 +278,8 @@ def run(config: RunConfig, command: str = "solve") -> dict:
         results = {"n_nodes": nodes.n, "r_u": rep.r_u, "r_eps": rep.r_eps,
                    "residual": system.stats["residual"],
                    "shape_evals": system.stats.get("shape_evals", 0),
-                   "solver": solver, "stages": stages}
+                   "solver": solver, "stages": stages,
+                   "groups": system.stats["groups"]}
         times = {"assemble_s": system.stats["t_assemble"],
                  "solve_s": system.stats["t_solve"]}
     elif command == "study":

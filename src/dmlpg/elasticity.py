@@ -100,30 +100,6 @@ def elastic_matrix(mat: MaterialModel) -> np.ndarray:
     )
 
 
-def strain_basis(gradient: np.ndarray) -> np.ndarray:
-    """Strain matrix of one basis function: P[v, i] from its gradient.
-
-    ``gradient`` is the d-vector of first derivatives of a scalar basis
-    function; the result maps a displacement direction to Voigt strain.
-    """
-    gradient = np.asarray(gradient, dtype=float)
-    return np.einsum("vij,j->vi", voigt_map(gradient.shape[-1]), gradient)
-
-
-def test_strain(grad_v: np.ndarray) -> np.ndarray:
-    """Test-function strain matrix (d x voigt), all components sharing one v."""
-    grad_v = np.asarray(grad_v, dtype=float)
-    return np.einsum("vij,j->iv", voigt_map(grad_v.shape[-1]), grad_v)
-
-
-def normal_matrix(n: np.ndarray) -> np.ndarray:
-    """Traction matrix N (d x voigt) with N @ sigma = traction for unit n."""
-    n = np.asarray(n, dtype=float)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-        raise ValueError("normal vector must have unit length")
-    return np.einsum("vij,j->iv", voigt_map(n.shape[-1]), n)
-
-
 def von_mises(sigma: np.ndarray) -> np.ndarray:
     """Von Mises equivalent stress from Voigt components (in-plane form in 2D)."""
     sigma = np.asarray(sigma, dtype=float)

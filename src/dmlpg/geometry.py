@@ -119,7 +119,13 @@ class NodeSet:
         n, d = self.points.shape
         if d not in (2, 3):
             raise ValueError("only 2D and 3D node sets are supported")
-        if self.mesh_size <= 0.0:
+        if not (np.isfinite(self.points).all() and np.isfinite(self.spacing).all()
+                and np.isfinite(self.support).all()):
+            finite = (np.isfinite(self.points).all(axis=1) & np.isfinite(self.spacing)
+                      & np.isfinite(self.support))
+            raise ValueError(f"node {int(np.argmin(finite))} has a non-finite "
+                             "coordinate, spacing or support")
+        if not self.mesh_size > 0.0:
             raise ValueError("mesh_size must be positive")
         if np.any(self.support <= self.mesh_size):
             raise ValueError("every support radius must exceed the mesh size")
@@ -250,14 +256,20 @@ class DomainGeometry:
         """Curved boundary descriptors: list of (kind, center, radius, keep)."""
         return []
 
-    def curved_clearance(self, x) -> float:
-        """Distance from x to the nearest curved boundary (inf if none)."""
-        best = math.inf
+    def curved_clearance(self, x):
+        """Distance from x to the nearest curved boundary (inf if none).
+
+        ``x`` is one point (a float comes back) or an (n, d) stack (an array).
+        """
         x = np.asarray(x, dtype=float)
+        best = np.full(x.shape[:-1], math.inf)
         for _, center, radius, keep in self.curves():
-            rho = float(np.linalg.norm(x - center))
-            best = min(best, rho - radius if keep == "outside" else radius - rho)
-        return best
+            diff = x - center
+            # one dot product per point, as ``np.linalg.norm`` takes it for a
+            # single vector, so a point and a stack agree bit for bit
+            rho = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+            best = np.minimum(best, rho - radius if keep == "outside" else radius - rho)
+        return float(best) if x.ndim == 1 else best
 
     def on_curve(self, x, tol: float):
         """The curve descriptor x lies on, or None."""
@@ -384,9 +396,14 @@ class Piece:
     traction_known: tuple | None
     measure: float
     _builder: object = field(repr=False)
+    _rules: dict = field(default_factory=dict, repr=False)
 
     def rule(self, n: int) -> quad.QuadratureRule:
-        return self._builder(n)
+        """The piece's rule with ``n`` points per direction, built once per n."""
+        rule = self._rules.get(n)
+        if rule is None:
+            rule = self._rules[n] = self._builder(n)
+        return rule
 
 
 @dataclass
@@ -705,25 +722,72 @@ def _build_ball_subdomain(center, radius, geometry) -> Subdomain:
     )
 
 
+_SHAPES = {"box": "box", "rect": "box", "square": "box", "cube": "box",
+           "ball": "ball", "disk": "ball", "circle": "ball", "sphere": "ball"}
+
+
+def canonical_shape(shape: str) -> str:
+    """"box" or "ball" for a shape name or its alias (square/rect/cube,
+    disk/circle/sphere)."""
+    if shape not in _SHAPES:
+        raise ValueError(f"unknown subdomain shape {shape!r}")
+    return _SHAPES[shape]
+
+
 def build_subdomain(center, shape: str, size: float, geometry: DomainGeometry) -> Subdomain:
     """Construct the local region around ``center`` clipped to the domain.
 
-    ``shape`` is "box" or "ball" (aliases square/rect/cube and disk/circle/
-    sphere are accepted); ``size`` is the side length or radius.
+    ``shape`` is "box" or "ball" or an alias (``canonical_shape``); ``size``
+    is the side length or radius.
     """
     if size <= 0.0:
         raise ValueError("subdomain size must be positive")
     center = np.asarray(center, dtype=float).copy()
-    shape = {"box": "box", "rect": "box", "square": "box", "cube": "box",
-             "ball": "ball", "disk": "ball", "circle": "ball",
-             "sphere": "ball"}.get(shape)
-    if shape is None:
-        raise ValueError(f"unknown subdomain shape")
+    shape = canonical_shape(shape)
     if shape == "box":
         return _build_box_subdomain(center, size, geometry)
     if center.size == 2:
         return _build_disk_subdomain(center, size, geometry)
     return _build_ball_subdomain(center, size, geometry)
+
+
+def whole_subdomains(centers, ball, size, geometry: DomainGeometry):
+    """Which subdomains ``build_subdomain`` leaves unclipped, for a stack.
+
+    ``ball`` (n,) picks a ball of radius ``size`` over a box of side ``size``.
+    A subdomain is whole when it lies inside every bound plane and clear of
+    every curve by more than twice the builders' tolerances, so a subdomain
+    near a tolerance reads False.  Returns ``whole`` (n,) and ``extent`` (n,
+    2, d): ``lo - center`` and ``hi - center`` with the box builder's
+    arithmetic (the signature of a whole box), and -r, r for a ball.
+    """
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    size = np.asarray(size, dtype=float)
+    half = 0.5 * size[:, None]
+    lo, hi = centers - half, centers + half
+    clearance = geometry.curved_clearance(centers)
+    # boxes: plane tolerance _GEOM_TOL * side, curve tolerance _GEOM_TOL
+    margin = 2.0 * _GEOM_TOL * size[:, None]
+    box_whole = (np.all(lo - geometry.bounds_lo > margin, axis=1)
+                 & np.all(geometry.bounds_hi - hi > margin, axis=1)
+                 & np.all(hi > lo, axis=1))
+    for _, ccenter, radius, keep in geometry.curves():
+        if keep == "outside":
+            gap = np.linalg.norm(np.clip(ccenter, lo, hi) - ccenter, axis=1) - radius
+        else:
+            far = np.where(np.abs(lo - ccenter) > np.abs(hi - ccenter), lo, hi)
+            gap = radius - np.linalg.norm(far - ccenter, axis=1)
+        box_whole &= gap > 2.0 * _GEOM_TOL
+    # balls: one tolerance, _GEOM_TOL * max(radius, 1), for planes and curves
+    margin = 2.0 * _GEOM_TOL * np.maximum(size, 1.0)
+    plane_gap = np.minimum(centers - geometry.bounds_lo,
+                           geometry.bounds_hi - centers).min(axis=1)
+    ball_whole = (plane_gap - size > margin) & (clearance - size > margin)
+    whole = np.where(ball, ball_whole, box_whole) & (size > 0.0)
+    # + 0.0 turns -0.0 into 0.0, as the builders' signatures do
+    extent = np.where(ball[:, None, None], np.stack([-size, size], axis=1)[:, :, None],
+                      np.stack([lo - centers, hi - centers], axis=1)) + 0.0
+    return whole, extent
 
 
 # ---------------------------------------------------------------------------

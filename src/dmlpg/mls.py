@@ -377,14 +377,3 @@ def gmls_derivative_row(x, alpha, nodes: NodeSet, m: int, eps: float = 4.0,
     moment = MomentSystem.build(x, nodes, m, eps=eps, delta=delta)
     lam = moment.basis.derivative(moment.point, alpha)
     return GmlsRow(moment.point, moment.active, moment.row(lam))
-
-
-def dump_rows(rows, path) -> None:
-    """Plain-text dump of recovery rows for regression diffs."""
-    with open(path, "w") as fh:
-        for row in rows:
-            coords = ",".join(f"{v:.17g}" for v in row.point)
-            fh.write(f"point {coords}\n")
-            for r in np.atleast_2d(row.coefficients):
-                for j, c in zip(row.active, r):
-                    fh.write(f"  {int(j)} {c:.17g}\n")

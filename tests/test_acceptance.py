@@ -17,6 +17,8 @@ from dmlpg import geometry as geo
 from dmlpg import mlpg
 from dmlpg import mls
 
+pytestmark = pytest.mark.acceptance
+
 
 def _report(name, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")

@@ -333,15 +333,3 @@ def test_manufactured_body_force_path():
         ds = (prob.exact_stress(x + dx)[0] - prob.exact_stress(x - dx)[0]) / (2 * h)
         div += np.einsum("vi,v->i", tmap[:, :, j], ds)
     assert np.allclose(div + prob.body(x)[0], 0.0, atol=1e-6)
-
-
-def test_dump_system_format(tmp_path, beam):
-    problem, nodes = beam
-    system = asm.assemble(nodes, problem, "dmlpg1", asm.SolverConfig())
-    path = tmp_path / "system.txt"
-    asm.dump_system(system, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# dmlpg-system n=330")
-    row, col, val = lines[1].split()
-    int(row), int(col), float(val)
-    assert "# rhs" in lines

@@ -90,6 +90,10 @@ def test_solve_summary_carries_solver_stats(manufactured_cfg):
     stages = summary["results"]["stages"]
     assert set(stages) == {"subdomains_s", "rows_s", "moments_s", "scatter_s"}
     assert all(t > 0.0 for t in stages.values())
+    groups = summary["results"]["groups"]
+    assert set(groups) == {"groups", "grouped_nodes", "subdomains_built"}
+    # interior boxes of the uniform grid share signatures
+    assert groups["grouped_nodes"] > groups["groups"] > 0
 
 
 def test_solve_summary_solver_times_zeroed_without_record_times(manufactured_cfg):

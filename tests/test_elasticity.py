@@ -45,52 +45,6 @@ def test_spd_for_valid_range():
             assert np.linalg.eigvalsh(d)[0] > 0.0
 
 
-def test_strain_basis_constant_vanishes():
-    assert np.allclose(ela.strain_basis(np.zeros(2)), 0.0)
-
-
-def test_strain_basis_2d_layout():
-    s = 0.5
-    p = ela.strain_basis(np.array([1.0 / s, 0.0]))
-    assert np.allclose(p, np.array([[1.0 / s, 0.0], [0.0, 0.0], [0.0, 1.0 / s]]))
-
-
-def test_strain_basis_3d_layout():
-    s = 2.0
-    p = ela.strain_basis(np.array([0.0, 0.0, 1.0 / s]))
-    expect = np.zeros((6, 3))
-    expect[2, 2] = 1.0 / s    # direct row
-    expect[3, 1] = 1.0 / s    # shear rows (23), (13)
-    expect[4, 0] = 1.0 / s
-    assert np.allclose(p, expect)
-
-
-def test_test_strain_examples():
-    assert np.allclose(ela.test_strain(np.zeros(2)), 0.0)
-    ev = ela.test_strain(np.array([1.0, 0.0]))
-    assert np.allclose(ev, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
-    ev3 = ela.test_strain(np.array([0.0, 0.0, 1.0]))
-    expect = np.zeros((3, 6))
-    expect[0, 4] = 1.0
-    expect[1, 3] = 1.0
-    expect[2, 2] = 1.0
-    assert np.allclose(ev3, expect)
-
-
-def test_normal_matrix_examples():
-    n1 = ela.normal_matrix(np.array([1.0, 0.0]))
-    assert np.allclose(n1, np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
-    n2 = ela.normal_matrix(np.array([0.0, 1.0]))
-    assert np.allclose(n2, np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-    t = n1 @ np.array([1.0, 0.0, 0.0])
-    assert np.allclose(t, [1.0, 0.0])
-
-
-def test_normal_matrix_rejects_non_unit():
-    with pytest.raises(ValueError):
-        ela.normal_matrix(np.array([1.0, 1.0]))
-
-
 def test_traction_tensor_consistency():
     rng = np.random.default_rng(3)
     for dim in (2, 3):
@@ -112,8 +66,10 @@ def test_traction_tensor_consistency():
                     [sigma_v[0], sigma_v[5], sigma_v[4]],
                     [sigma_v[5], sigma_v[1], sigma_v[3]],
                     [sigma_v[4], sigma_v[3], sigma_v[2]]])
-            t_matrix = ela.normal_matrix(n) @ sigma_v
-            assert np.allclose(t_matrix, sigma @ n, atol=1e-12)
+            # the traction N sigma through the layout tensor, as the weak rows
+            # and ``Problem.traction`` form it
+            t_layout = np.einsum("vij,j,v->i", tmap, n, sigma_v)
+            assert np.allclose(t_layout, sigma @ n, atol=1e-12)
 
 
 def test_strain_layout_against_finite_differences():

@@ -106,6 +106,39 @@ def test_boussinesq_rejects_bad_radii():
         geo.generate_boussinesq_nodes(0.25, 10.0, 100)
 
 
+@pytest.mark.parametrize("field", ["points", "spacing", "support"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nodeset_rejects_non_finite_values_naming_the_node(field, bad):
+    base = geo.generate_beam_nodes(9, 5, 8.0, 1.0)
+    arrays = {"points": base.points.copy(), "spacing": base.spacing.copy(),
+              "support": base.support.copy()}
+    arrays[field][[7, 12]] = bad        # a points row gets bad in both coordinates
+    with pytest.raises(ValueError, match=r"node 7 has a non-finite"):
+        geo.NodeSet(arrays["points"], base.tags, base.masks, arrays["spacing"],
+                    arrays["support"], base.mesh_size)
+
+
+def test_nodeset_rejects_nan_mesh_size():
+    base = geo.generate_beam_nodes(9, 5, 8.0, 1.0)
+    with pytest.raises(ValueError, match="mesh_size"):
+        geo.NodeSet(base.points, base.tags, base.masks, base.spacing, base.support,
+                    math.nan)
+
+
+def test_curved_clearance_of_a_point_and_of_a_stack_agree():
+    dom = geo.SphereOctantShell(0.25, 10.0)
+    pts = np.random.default_rng(4).uniform(0.0, 6.0, (200, 3))
+    stack = dom.curved_clearance(pts)
+    assert stack.shape == (200,)
+    single = [dom.curved_clearance(x) for x in pts]
+    assert all(isinstance(c, float) for c in single)
+    assert np.array_equal(stack, single)
+    oracle = [min(float(np.linalg.norm(x)) - 0.25, 10.0 - float(np.linalg.norm(x)))
+              for x in pts]
+    assert np.array_equal(stack, oracle)
+    assert geo.BeamDomain(8.0, 1.0).curved_clearance(pts[:, :2]).tolist() == [math.inf] * 200
+
+
 def test_neighbors_match_brute_force():
     nodes = geo.generate_plate_nodes(1.0, 4.0, 24, 21, 1.08)
     rng = np.random.default_rng(5)

@@ -314,7 +314,7 @@ def test_all_methods_report_the_same_stats():
                  for variant in ("mlpg1", "mlpg5")})
     assert all(k == keys["dmlpg1"] for k in keys.values())
     assert {"shape_evals", "min_evals_per_subdomain", "moment_cond",
-            "cache_hits"} <= keys["dmlpg1"]
+            "cache_hits", "groups"} <= keys["dmlpg1"]
 
 
 def test_chunk_size_does_not_change_results(monkeypatch):

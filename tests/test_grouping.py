@@ -1,0 +1,197 @@
+"""Signature-first assembly: the vectorised subdomain plan against the former
+per-node size policy, and the grouped node loop against a per-node loop."""
+
+import math
+
+import numpy as np
+import pytest
+
+from dmlpg import assembly as asm
+from dmlpg import benchmarks as bm
+from dmlpg import geometry as geo
+from dmlpg import mls
+from dmlpg import mlpg
+from test_gmls_batch import _case, _rel
+
+
+def _policy_oracle(k, nodes, geometry, config):
+    """(shape, size) of node k under the former per-node size policy."""
+    center, spacing = nodes.points[k], nodes.spacing[k]
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(center))))
+    clearance = math.inf
+    for _, ccenter, radius, keep in geometry.curves():
+        rho = float(np.linalg.norm(center - ccenter))
+        clearance = min(clearance, rho - radius if keep == "outside" else radius - rho)
+    if clearance <= tol:
+        return "ball", config.ball_factor * spacing
+    if config.shape == "box":
+        size = config.box_factor * spacing
+        cap = 2.0 * clearance / math.sqrt(nodes.dim)
+        return "box", cap * (1.0 - 1e-9) if size > cap else size
+    size = config.ball_factor * spacing
+    return "ball", clearance * (1.0 - 1e-9) if size > clearance else size
+
+
+def _cloud(name):
+    """(problem, nodes, method, config) of a test cloud; beam-box is the beam on boxes."""
+    problem, nodes, method, config, _ = _case(name.split("-")[0])
+    if name == "beam-box":
+        config = asm.SolverConfig(shape="box")
+    return problem, nodes, method, config
+
+
+CLOUDS = ("beam", "beam-box", "plate", "shell", "jittered")
+
+
+def _per_node_loop(nodes, problem, method, config):
+    """Matrix, rhs and cache of the node loop before grouping: one subdomain
+    and one row kernel call per weak node, then the same GMLS solve."""
+    row_builder = asm.dmlpg1_row if method == "dmlpg1" else asm.dmlpg5_row
+    d = nodes.dim
+    cache = asm.LambdaCache(config.cache)
+    functionals = np.zeros((nodes.n, d, d, mls.basis_size(config.m, d)))
+    rhs = np.zeros(nodes.n * d)
+    for k in range(nodes.n):
+        mask = nodes.masks[k]
+        if nodes.tags[k] != geo.DIRICHLET:
+            sub = asm.subdomain_for_node(k, nodes, problem.geometry, config)
+            row = row_builder(k, sub, problem, config, float(nodes.support[k]), ~mask,
+                              cache)
+            measure = sub.measure if config.scale_rows else 1.0
+            lam = row.lam / measure
+            lam[:, mask, :] = 0.0
+            functionals[k] = lam.transpose(1, 2, 0)
+            rhs[d * k: d * k + d] = row.beta / measure
+        if mask.any():
+            ubar = problem.dirichlet(nodes.points[k][None, :])[0]
+            for i in np.flatnonzero(mask):
+                functionals[k, i, i, 0] = 1.0
+                rhs[d * k + i] = ubar[i]
+    moments = mls.gmls_batch(nodes.points, nodes.support, nodes, config.m,
+                             functionals.reshape(nodes.n, d * d, -1), eps=config.eps)
+    owner = np.repeat(np.arange(nodes.n), np.diff(moments.indptr))
+    matrix = asm._block_matrix(owner, moments.active,
+                               moments.coefficients.reshape(d, d, -1), nodes.n)
+    matrix.eliminate_zeros()
+    return matrix, rhs, cache
+
+
+def _assert_same_system(system, matrix, rhs):
+    assert np.array_equal(system.matrix.indptr, matrix.indptr)
+    assert np.array_equal(system.matrix.indices, matrix.indices)
+    assert np.array_equal(system.matrix.data, matrix.data)
+    assert np.array_equal(system.rhs, rhs)
+
+
+@pytest.mark.parametrize("name", CLOUDS)
+def test_plan_matches_the_per_node_policy(name):
+    problem, nodes, _, config = _cloud(name)
+    plan = asm.plan_subdomains(nodes.points, nodes.spacing, problem.geometry, config)
+    whole = 0
+    for k in range(nodes.n):
+        shape, size = _policy_oracle(k, nodes, problem.geometry, config)
+        assert plan.shape[k] == shape and plan.size[k] == size
+        if nodes.tags[k] == geo.DIRICHLET:
+            continue        # no subdomain; the shell's clamped spheres have none
+        sub = asm.subdomain_for_node(k, nodes, problem.geometry, config)
+        assert sub.shape == shape and sub.size == size
+        if plan.whole[k]:
+            whole += 1
+            assert not any(piece.on_gamma for piece in sub.pieces)
+            assert not sub.curved_clip
+            lo, hi = plan.extent[k].tolist()
+            signature = (("ball", size, ()) if shape == "ball"
+                         else ("box", tuple(lo), tuple(hi)))
+            assert sub.signature == signature
+    assert whole > nodes.n // 3
+
+
+@pytest.mark.parametrize("scale_rows", [False, True])
+@pytest.mark.parametrize("name", CLOUDS)
+def test_grouped_assembly_is_bit_identical_to_the_per_node_loop(name, scale_rows):
+    problem, nodes, method, config = _cloud(name)
+    config = asm.SolverConfig(**{**config.__dict__, "scale_rows": scale_rows})
+    system = asm.assemble(nodes, problem, method, config)
+    matrix, rhs, cache = _per_node_loop(nodes, problem, method, config)
+    _assert_same_system(system, matrix, rhs)
+    assert system.stats["cache_hits"] == cache.hits
+    assert system.stats["cache_misses"] == cache.misses
+    assert system.stats["cache_hit_counts"] == cache.hit_counts
+    assert system.stats["groups"]["grouped_nodes"] > 0
+
+
+def test_group_counts_match_every_built_subdomain(monkeypatch):
+    problem, nodes, method, config = _cloud("beam")
+    weak = [k for k in range(nodes.n) if nodes.tags[k] != geo.DIRICHLET]
+    keys = []
+    for k in weak:
+        sub = asm.subdomain_for_node(k, nodes, problem.geometry, config)
+        if not sub.curved_clip and not any(piece.on_gamma for piece in sub.pieces):
+            keys.append((float(nodes.support[k]), sub.signature))
+    calls = {"build_subdomain": 0, "dmlpg1_row": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(asm, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(asm, name, counted)
+    stats = asm.assemble(nodes, problem, method, config).stats["groups"]
+    built = len(weak) - len(keys) + len(set(keys))
+    assert stats == {"groups": len(set(keys)), "grouped_nodes": len(keys),
+                     "subdomains_built": built}
+    assert calls == {"build_subdomain": built, "dmlpg1_row": built}
+
+
+def test_classical_methods_group_nothing():
+    problem, nodes, *_ = _case("beam")
+    weak = int(np.count_nonzero(nodes.tags != geo.DIRICHLET))
+    for variant in ("mlpg1", "mlpg5"):
+        stats = mlpg.assemble_mlpg(nodes, problem, variant).stats["groups"]
+        assert stats == {"groups": 0, "grouped_nodes": 0, "subdomains_built": weak}
+    off = asm.assemble(nodes, problem, "dmlpg1", asm.SolverConfig(cache=False))
+    assert off.stats["groups"]["subdomains_built"] == weak
+
+
+@pytest.mark.parametrize("method", ["dmlpg1", "dmlpg5"])
+def test_body_force_groups_match_the_uncached_assembly(method):
+    problem = bm.ManufacturedProblem(bm.quadratic_patch_coeffs(3), (1.0, 0.5, 0.5))
+    assert problem.body is not None
+    nodes = geo.generate_grid_nodes((7, 4, 4), (1.0, 0.5, 0.5))
+    on = asm.assemble(nodes, problem, method, asm.SolverConfig())
+    off = asm.assemble(nodes, problem, method, asm.SolverConfig(cache=False))
+    groups = on.stats["groups"]
+    assert groups["grouped_nodes"] > groups["groups"] > 0
+    assert _rel(on.matrix, off.matrix) <= 1e-14
+    assert np.abs(on.rhs - off.rhs).max() <= 1e-14 * np.abs(off.rhs).max()
+
+
+def test_box_face_near_a_plane_takes_the_clipped_path():
+    problem = bm.ManufacturedProblem(bm.linear_patch_coeffs(2), (1.0, 0.5))
+    base = geo.generate_grid_nodes((9, 5), (1.0, 0.5))
+    h = base.mesh_size
+    pts = base.points.copy()
+    # three interior nodes whose top box face sits 0.5, 1.5 and 3 tolerances
+    # (1e-12 * side) below the plane y = 0.5
+    moved = []
+    for x, gap in ((0.25, 0.5), (0.5, 1.5), (0.75, 3.0)):
+        k = int(np.argmin(np.linalg.norm(pts - [x, 0.375], axis=1)))
+        pts[k, 1] = 0.5 - 0.5 * h - gap * 1e-12 * h
+        moved.append(k)
+    nodes = geo.NodeSet(pts, base.tags, base.masks, base.spacing, base.support, h)
+    config = asm.SolverConfig()
+    plan = asm.plan_subdomains(nodes.points, nodes.spacing, problem.geometry, config)
+    assert plan.whole[moved].tolist() == [False, False, True]
+    subs = [asm.subdomain_for_node(k, nodes, problem.geometry, config) for k in moved]
+    assert [any(p.on_gamma for p in sub.pieces) for sub in subs] == [True, False, False]
+    system = asm.assemble(nodes, problem, "dmlpg1", config)
+    _assert_same_system(system, *_per_node_loop(nodes, problem, "dmlpg1", config)[:2])
+
+
+@pytest.mark.parametrize("name", ["beam", "plate", "shell"])
+def test_traction_batch_size_does_not_change_results(monkeypatch, name):
+    problem, nodes, method, config = _cloud(name)
+    system = asm.assemble(nodes, problem, method, config)
+    for budget in (1, 500):
+        monkeypatch.setattr(asm, "TRACTION_BUDGET", budget)
+        again = asm.assemble(nodes, problem, method, config)
+        assert np.array_equal(again.rhs, system.rhs)
+        assert np.array_equal(again.matrix.data, system.matrix.data)

@@ -220,11 +220,3 @@ def test_gmls_derivative_convergence_order():
     order = np.log(errs[0] / errs[-1]) / np.log(hs[0] / hs[-1])
     assert order >= 1.5
 
-
-def test_dump_rows(tmp_path, beam_nodes):
-    rows = [mls.mls_shape([1.0, 0.5], beam_nodes, 2)]
-    path = tmp_path / "rows.txt"
-    mls.dump_rows(rows, path)
-    text = path.read_text()
-    assert text.startswith("point 1,0.5")
-    assert len(text.splitlines()) == 1 + rows[0].active.size
