@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -234,11 +236,11 @@ def weak_operator(weights, vectors, dmat, tmap) -> np.ndarray:
 
 
 def weak_contract(operator, grads) -> np.ndarray:
-    """sum_q,t operator[q, i, j, t] grads[q, n, t] as one GEMM: (n, d, d)."""
-    npts, d = operator.shape[:2]
-    flat = operator.transpose(0, 3, 1, 2).reshape(npts * d, d * d)
-    trial = grads.transpose(1, 0, 2).reshape(grads.shape[1], npts * d)
-    return (trial @ flat).reshape(-1, d, d)
+    """sum_q,t operator[..., q, i, j, t] grads[..., q, n, t], one GEMM each: (..., n, d, d)."""
+    *lead, npts, d = operator.shape[:-2]
+    flat = np.moveaxis(operator, -1, -3).reshape(*lead, npts * d, d * d)
+    trial = np.swapaxes(grads, -3, -2).reshape(*lead, grads.shape[-2], npts * d)
+    return (trial @ flat).reshape(*lead, -1, d, d)
 
 
 def _lambda_volume(sub: Subdomain, basis: mls.PolyBasis, dmat, config: SolverConfig):
@@ -483,13 +485,27 @@ def assemble(nodes, problem, method: str = "dmlpg1",
     if method not in ("dmlpg1", "dmlpg5"):
         raise ValueError(f"unknown direct method {method!r}")
     row_builder = dmlpg1_row if method == "dmlpg1" else dmlpg5_row
-    return _assemble(nodes, problem, method, config, row_builder, centred=True)
+    return _assemble(nodes, problem, method, config, partial(_node_rows, row_builder),
+                     centred=True)
 
 
-def _weak_rows(nodes, problem, method: str, config: SolverConfig, weak_row,
-               grouped: bool, cache: LambdaCache, stage: StageTimer):
-    """The weak rows of the node loop, with ``weak_row(k, sub, problem,
-    config, scale, survivors, cache)`` giving a node's ``FunctionalRow``.
+def _node_rows(row_builder, nodes, batch, problem, config, cache, counts) -> list:
+    """The row kernel of a direct method: ``row_builder`` node by node."""
+    rows = []
+    for k, sub in batch:
+        try:
+            rows.append(row_builder(k, sub, problem, config, float(nodes.support[k]),
+                                    ~nodes.masks[k], cache))
+        except (UnsupportedClipError, mls.NodeDeficiencyError) as err:
+            rows.append(err)
+    return rows
+
+
+def _weak_rows(nodes, problem, method: str, config: SolverConfig, weak_rows,
+               grouped: bool, cache: LambdaCache, stage: StageTimer, counts: dict):
+    """The weak rows of the node loop.  The row kernel ``weak_rows(nodes,
+    batch, problem, config, cache, counts)`` maps a batch of ``(node,
+    subdomain)`` pairs to each node's ``FunctionalRow`` or error.
 
     ``plan_subdomains`` sizes every subdomain in one pass.  When ``grouped``
     (the direct methods with the cache on), the nodes whose subdomains no
@@ -519,9 +535,9 @@ def _weak_rows(nodes, problem, method: str, config: SolverConfig, weak_row,
     for members in groups.values():
         served[members[1:]] = True
     built = weak[~served[weak]]
-    counts = {"groups": len(groups),
-              "grouped_nodes": int(sum(g.size for g in groups.values())),
-              "subdomains_built": int(built.size)}
+    grouping = {"groups": len(groups),
+                "grouped_nodes": int(sum(g.size for g in groups.values())),
+                "subdomains_built": int(built.size)}
 
     def store(k, row, beta, measure):
         lam = row.lam / measure
@@ -549,16 +565,14 @@ def _weak_rows(nodes, problem, method: str, config: SolverConfig, weak_row,
             test = test_function(member, config) if method == "dmlpg1" else None
             store(j, row, _beta(member, problem, config, ~nodes.masks[j], test),
                   member.measure if config.scale_rows else 1.0)
-        counts["subdomains_built"] += len(members)
+        grouping["subdomains_built"] += len(members)
 
     def build_rows(batch, rules):
-        view = _StackedTraction(problem, rules)
-        for k, sub in batch:
-            try:
-                row = weak_row(k, sub, view, config, float(nodes.support[k]),
-                               ~nodes.masks[k], cache)
-            except (UnsupportedClipError, mls.NodeDeficiencyError) as err:
-                failures.update(dict.fromkeys(map(int, groups.get(k, [k])), err))
+        rows = weak_rows(nodes, batch, _StackedTraction(problem, rules), config, cache,
+                         counts)
+        for (k, sub), row in zip(batch, rows):
+            if isinstance(row, Exception):
+                failures.update(dict.fromkeys(map(int, groups.get(k, [k])), row))
                 continue
             evals.append(row.shape_evals)
             store(k, row, row.beta, sub.measure if config.scale_rows else 1.0)
@@ -585,12 +599,12 @@ def _weak_rows(nodes, problem, method: str, config: SolverConfig, weak_row,
             batch, rules, points = [], [], 0
     with stage("rows_s"):
         build_rows(batch, rules)
-    return functionals, rhs, explicit, evals, failures, counts
+    return functionals, rhs, explicit, evals, failures, grouping
 
 
-def _assemble(nodes, problem, method: str, config: SolverConfig, weak_row,
+def _assemble(nodes, problem, method: str, config: SolverConfig, weak_rows,
               centred: bool) -> GlobalSystem:
-    """The node loop of every method; ``weak_row`` is the per-method kernel.
+    """The node loop of every method; ``weak_rows`` is the per-method kernel.
 
     Dirichlet nodes become collocation block rows, mixed nodes keep weak rows
     only for their unprescribed components, and all remaining nodes
@@ -609,9 +623,10 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_row,
     cache = LambdaCache(enabled=config.cache)
     stage = StageTimer("subdomains_s", "rows_s", "moments_s", "scatter_s")
     t0 = time.perf_counter()
-    functionals, rhs, explicit, evals, failures, counts = _weak_rows(
-        nodes, problem, method, config, weak_row, centred and config.cache, cache,
-        stage)
+    classical = Counter(chunks=0, pairs=0, padded_pairs=0)
+    functionals, rhs, explicit, evals, failures, grouping = _weak_rows(
+        nodes, problem, method, config, weak_rows, centred and config.cache, cache,
+        stage, classical)
     for k in np.flatnonzero(nodes.masks.any(axis=1)):
         # one point per call: a stacked call may round differently (BLAS)
         ubar = problem.dirichlet(nodes.points[k][None, :])[0]
@@ -630,15 +645,14 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_row,
     if failures:
         raise AssemblyError(sorted(failures.items()))
     with stage("scatter_s"):
-        owner = np.repeat(centres, np.diff(moments.indptr))
-        matrix = _block_matrix(owner, moments.active,
-                               moments.coefficients.reshape(d, d, -1), nodes.n)
+        matrix = _block_rows(centres, np.diff(moments.indptr), moments.active,
+                             moments.coefficients.reshape(d, d, -1).transpose(2, 0, 1),
+                             nodes.n)
         if explicit:
             owners, actives, blocks = zip(*explicit)
-            owner = np.repeat(owners, [a.size for a in actives])
-            matrix = matrix + _block_matrix(owner, np.concatenate(actives),
-                                            np.concatenate(blocks).transpose(1, 2, 0),
-                                            nodes.n)
+            matrix = matrix + _block_rows(owners, [a.size for a in actives],
+                                          np.concatenate(actives), np.concatenate(blocks),
+                                          nodes.n)
         matrix.eliminate_zeros()
     cond = moments.cond
     stats = {
@@ -652,7 +666,8 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_row,
                         "median": float(np.median(cond)) if cond.size else math.nan,
                         "max": float(cond.max(initial=0.0))},
         "stages": stage.totals,
-        "groups": counts,
+        "groups": grouping,
+        "classical": classical,
         "method": method,
     }
     row_kinds = [_ROW_KINDS.get(int(tag), "weak-form") for tag in nodes.tags]
@@ -670,13 +685,13 @@ def _whole_measures(nodes, plan: SubdomainPlan, members, sub: Subdomain) -> np.n
     return np.prod((centres + half) - (centres - half), axis=1)
 
 
-def _block_matrix(owner, active, blocks, n: int) -> sp.csr_matrix:
-    """Sum of d x d blocks: ``blocks[i, j, e]`` at (d owner[e] + i, d active[e] + j)."""
-    d = blocks.shape[0]
-    rows = np.broadcast_to(d * owner + np.arange(d)[:, None, None], blocks.shape)
-    cols = np.broadcast_to(d * active + np.arange(d)[None, :, None], blocks.shape)
-    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(n * d, n * d)).tocsr()
+def _block_rows(owners, counts, active, blocks, n: int) -> sp.csr_matrix:
+    """CSR matrix of the d x d ``blocks`` (nnz, d, d): node ``owners[i]``
+    (ascending) holds ``counts[i]`` of them, in node columns ``active``."""
+    nd = n * blocks.shape[-1]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[np.asarray(owners, dtype=np.int64) + 1] = counts
+    return sp.bsr_matrix((blocks, active, np.cumsum(indptr)), shape=(nd, nd)).tocsr()
 
 
 COND_ALERT = 1e14

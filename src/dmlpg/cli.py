@@ -276,10 +276,12 @@ def run(config: RunConfig, command: str = "solve") -> dict:
             solver.update(t_factor=0.0, t_condest=0.0)
             stages = dict.fromkeys(stages, 0.0)
         results = {"n_nodes": nodes.n, "r_u": rep.r_u, "r_eps": rep.r_eps,
-                   "residual": system.stats["residual"],
-                   "shape_evals": system.stats.get("shape_evals", 0),
+                   "row_kinds": {kind: system.row_kinds.count(kind)
+                                 for kind in sorted(set(system.row_kinds))},
                    "solver": solver, "stages": stages,
-                   "groups": system.stats["groups"]}
+                   **{key: system.stats[key] for key in (
+                       "residual", "condition_estimate", "moment_cond", "shape_evals",
+                       "cache_hits", "cache_misses", "groups", "classical")}}
         times = {"assemble_s": system.stats["t_assemble"],
                  "solve_s": system.stats["t_solve"]}
     elif command == "study":

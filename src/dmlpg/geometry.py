@@ -271,21 +271,6 @@ class DomainGeometry:
             best = np.minimum(best, rho - radius if keep == "outside" else radius - rho)
         return float(best) if x.ndim == 1 else best
 
-    def on_curve(self, x, tol: float):
-        """The curve descriptor x lies on, or None."""
-        x = np.asarray(x, dtype=float)
-        for curve in self.curves():
-            _, center, radius, _ = curve
-            if abs(np.linalg.norm(x - center) - radius) <= tol:
-                return curve
-        return None
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        if np.any(x < self.bounds_lo - _GEOM_TOL) or np.any(x > self.bounds_hi + _GEOM_TOL):
-            return False
-        return self.curved_clearance(x) >= -_GEOM_TOL
-
     def curve_bc(self, curve) -> PlaneBC:
         raise NotImplementedError
 
@@ -483,7 +468,8 @@ def _build_box_subdomain(center, size, geometry) -> Subdomain:
     return Subdomain(
         center=center, shape="box", size=size, pieces=pieces,
         measure=float(np.prod(hi - lo)),
-        signature=("box", rel_lo, rel_hi),
+        signature=("box", rel_lo, rel_hi,
+                   tuple((p.on_gamma, p.traction_known) for p in pieces)),
         bounding_radius=float(np.linalg.norm(reach)),
         _interior_builder=(lambda n, lo=lo.copy(), hi=hi.copy():
                            quad.rule_box(lo, hi, n)),
@@ -634,9 +620,10 @@ def _build_disk_subdomain(center, radius, geometry) -> Subdomain:
             ))
 
     def interior(n, segs=tuple(segments), c=center.copy(), r=radius):
-        return quad.rule_polar(
-            c, [(a, b, rlo, lambda th: np.full_like(th, r)) for a, b, rlo in segs],
-            n, n)
+        if hole is None:
+            return quad.rule_disk(c, r, n, n, [(a, b) for a, b, _ in segs])
+        return quad.rule_polar(c, [(a, b, rlo, lambda th: np.full_like(th, r))
+                                   for a, b, rlo in segs], n, n)
 
     if hole is None:
         measure = 0.5 * radius**2 * sum(b - a for a, b, _ in segments)
@@ -759,7 +746,8 @@ def whole_subdomains(centers, ball, size, geometry: DomainGeometry):
     every curve by more than twice the builders' tolerances, so a subdomain
     near a tolerance reads False.  Returns ``whole`` (n,) and ``extent`` (n,
     2, d): ``lo - center`` and ``hi - center`` with the box builder's
-    arithmetic (the signature of a whole box), and -r, r for a ball.
+    arithmetic (with all faces interior, a whole box's signature), and -r, r
+    for a ball.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     size = np.asarray(size, dtype=float)

@@ -155,15 +155,20 @@ def rule_polar(center, segments, n_radial: int, n_angular: int) -> QuadratureRul
     return QuadratureRule(np.concatenate(all_pts), np.concatenate(all_wts))
 
 
-def rule_disk(center, radius: float, n_radial: int, n_angular: int) -> QuadratureRule:
-    """Full-disk polar rule."""
-    return rule_polar(
-        center,
-        [(0.0, 2.0 * np.pi, lambda th: np.zeros_like(th),
-          lambda th: np.full_like(th, radius))],
-        n_radial,
-        n_angular,
-    )
+def rule_disk(center, radius: float, n_radial: int, n_angular: int,
+              arcs=((0.0, 2.0 * np.pi),)) -> QuadratureRule:
+    """``rule_polar`` over the sectors ``arcs`` ((theta0, theta1) pairs) of a
+    disk, with its offsets from the centre built once per (radius, counts, arcs)."""
+    offsets, weights = _disk_offsets(float(radius), n_radial, n_angular, tuple(arcs))
+    return QuadratureRule(np.asarray(center, dtype=float) + offsets, weights)
+
+
+@lru_cache(maxsize=1024)
+def _disk_offsets(radius: float, n_radial: int, n_angular: int, arcs: tuple):
+    rule = rule_polar(np.zeros(2), [(a, b, np.zeros_like, lambda th: np.full_like(th, radius))
+                                    for a, b in arcs], n_radial, n_angular)
+    rule.weights.flags.writeable = False
+    return rule.points, rule.weights
 
 
 def rule_ball(center, radius: float, n_radial: int, n_angular: int) -> QuadratureRule:

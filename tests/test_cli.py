@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 import scipy
 
 import dmlpg
+from dmlpg import assembly as asm
 from dmlpg import cli
 
 
@@ -94,6 +96,43 @@ def test_solve_summary_carries_solver_stats(manufactured_cfg):
     assert set(groups) == {"groups", "grouped_nodes", "subdomains_built"}
     # interior boxes of the uniform grid share signatures
     assert groups["grouped_nodes"] > groups["groups"] > 0
+
+
+@pytest.mark.parametrize("method", ["dmlpg1", "mlpg1"])
+def test_solve_summary_says_how_healthy_the_run_was(manufactured_cfg, method):
+    path, out = manufactured_cfg
+    path.write_text(path.read_text().replace("dmlpg1", method))
+    assert cli.main(["solve", "--config", str(path)]) == 0
+    results = json.loads((out / "summary.jsonl").read_text())["results"]
+    cond = results["moment_cond"]
+    assert set(cond) == {"min", "median", "max"}
+    assert 1.0 <= cond["min"] <= cond["median"] <= cond["max"]
+    assert results["condition_estimate"] >= 1.0
+    assert sum(results["row_kinds"].values()) == results["n_nodes"]
+    assert results["row_kinds"]["dirichlet-collocation"] > 0
+    classical = results["classical"]
+    assert set(classical) == {"chunks", "pairs", "padded_pairs"}
+    if method == "dmlpg1":
+        assert results["cache_hits"] > 0 and results["cache_misses"] > 0
+        assert set(classical.values()) == {0}
+    else:
+        assert results["cache_hits"] == results["cache_misses"] == 0
+        assert 0 < classical["pairs"] <= classical["padded_pairs"]
+
+
+def test_summary_writes_non_finite_values_as_null(manufactured_cfg, monkeypatch):
+    path, out = manufactured_cfg
+    real = asm.solve
+
+    def no_moments(system):
+        u = real(system)
+        system.stats["moment_cond"] = {"min": math.inf, "median": math.nan, "max": 0.0}
+        return u
+
+    monkeypatch.setattr(asm, "solve", no_moments)
+    assert cli.main(["solve", "--config", str(path)]) == 0
+    results = json.loads((out / "summary.jsonl").read_text())["results"]
+    assert results["moment_cond"] == {"min": None, "median": None, "max": 0.0}
 
 
 def test_solve_summary_solver_times_zeroed_without_record_times(manufactured_cfg):

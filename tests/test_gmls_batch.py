@@ -1,6 +1,9 @@
 """The batched GMLS kernel against the per-point ``MomentSystem`` oracle, and
 the weak-form row kernels against the einsum contractions they replaced."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -126,13 +129,58 @@ def _lambda_boundary_oracle(sub, basis, dmat, config):
     return lam
 
 
+def _union_set_oracle(k, nodes, sub):
+    """Union of the active sets over node k's subdomain, two queries per node."""
+    x = nodes.points[k]
+    near = nodes.index.query_ball(x, 2.0 * sub.bounding_radius * (1.0 + 1e-12))
+    dmax = float(nodes.support[near].max())
+    return nodes.index.query_ball(x, sub.bounding_radius + dmax)
+
+
+def _shape_gradients_oracle(points, node_points, deltas, basis, eps):
+    """Standard MLS shape-function gradients (n_pts, n_nodes, d) of one
+    subdomain, with the moment matrix checked at its first point (the
+    former per-subdomain algebra)."""
+    npts, d = points.shape
+    p = basis.values(node_points)
+    q = p.shape[1]
+    d2 = (np.add.outer((points**2).sum(axis=1), (node_points**2).sum(axis=1))
+          - 2.0 * (points @ node_points.T))
+    dist = np.sqrt(np.maximum(d2, 0.0))
+    r = dist / deltas[:, None]
+    w, dphi = mls.gaussian(r, eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radial = np.where((dist > 0.0) & (r < 1.0),
+                          dphi / (deltas[:, None] * np.maximum(dist, 1e-300)), 0.0)
+    iu, il = np.triu_indices(q)
+    a_pairs = w @ (p[:, iu] * p[:, il])
+    a = np.empty((npts, q, q))
+    a[:, iu, il] = a_pairs
+    a[:, il, iu] = a_pairs
+    eig = np.linalg.eigvalsh(a[:1])
+    cond = eig[0, -1] / eig[0, 0] if eig[0, 0] > 0.0 else np.nan
+    if not cond <= mls.COND_LIMIT:
+        raise mls.NodeDeficiencyError(points[0], float(cond))
+    c = np.linalg.solve(a, basis.values(points)[:, :, None])[:, :, 0]
+    cp = c @ p.T
+    s = radial * cp
+    da_c = points[:, None, :] * (s @ p)[:, :, None] \
+        - np.stack([s @ (node_points[:, t:t + 1] * p) for t in range(d)], axis=2)
+    dc = np.linalg.solve(a, basis.gradients(points) - da_c)
+    gradients = np.empty((npts, node_points.shape[0], d))
+    for t in range(d):
+        gradients[:, :, t] = (dc[:, :, t] @ p.T) * w \
+            + cp * radial * (points[:, t:t + 1] - node_points[None, :, t])
+    return gradients
+
+
 def _classical_row_oracle(nodes, problem, variant, config, k, sub, survivors):
     """Union set, (union, d, d) blocks, rhs and point count of one classical
     row, with per-piece 4-operand einsum factors (the former code)."""
     d = nodes.dim
     tmap = ela.voigt_map(d)
     dmat = ela.elastic_matrix(problem.material)
-    union = mlpg._union_set(k, nodes, sub)
+    union = _union_set_oracle(k, nodes, sub)
     basis = mls.PolyBasis(config.m, d, nodes.points[k], float(nodes.support[k]))
     if variant == "mlpg1":
         rule = sub.interior_rule(config.quad_mlpg)
@@ -154,8 +202,7 @@ def _classical_row_oracle(nodes, problem, variant, config, k, sub, survivors):
         beta = asm._beta(sub, problem, config, survivors, test=None)
     pts = np.concatenate([rule.points for rule, _, _ in factors])
     deltas = nodes.support[nodes.index.nearest_batch(pts)]
-    _, grads, _ = mlpg.batched_shape_eval(pts, nodes.points[union], deltas, basis,
-                                          config.eps, full_cond_check=False)
+    grads = _shape_gradients_oracle(pts, nodes.points[union], deltas, basis, config.eps)
     blocks = np.zeros((union.size, d, d))
     offset = 0
     for rule, a4, known in factors:
@@ -295,10 +342,10 @@ def test_direct_row_kernels_match_einsum_oracle(name):
 @pytest.mark.parametrize("variant", ["mlpg1", "mlpg5"])
 def test_classical_row_matches_einsum_oracle(name, variant):
     problem, nodes, _, config, _ = _case(name)
-    for k, sub in _weak_nodes(nodes, problem, config, count=4):
+    batch = _weak_nodes(nodes, problem, config, count=4)
+    rows = mlpg._classical_rows(variant, nodes, batch, problem, config, None, Counter())
+    for (k, sub), row in zip(batch, rows):
         survivors = ~nodes.masks[k]
-        row = mlpg._classical_row(nodes, variant, k, sub, problem, config,
-                                  float(nodes.support[k]), survivors, None)
         union, blocks, beta, npts = _classical_row_oracle(nodes, problem, variant,
                                                           config, k, sub, survivors)
         assert np.array_equal(row.active, union) and row.shape_evals == npts
@@ -314,7 +361,43 @@ def test_all_methods_report_the_same_stats():
                  for variant in ("mlpg1", "mlpg5")})
     assert all(k == keys["dmlpg1"] for k in keys.values())
     assert {"shape_evals", "min_evals_per_subdomain", "moment_cond",
-            "cache_hits", "groups"} <= keys["dmlpg1"]
+            "cache_hits", "groups", "classical"} <= keys["dmlpg1"]
+
+
+def test_classical_counts_show_the_padding():
+    problem, nodes, *_ = _case("beam")
+    direct = asm.assemble(nodes, problem, "dmlpg1").stats["classical"]
+    assert direct == {"chunks": 0, "pairs": 0, "padded_pairs": 0}
+    for variant in ("mlpg1", "mlpg5"):
+        system = mlpg.assemble_mlpg(nodes, problem, variant)
+        counts = system.stats["classical"]
+        assert 0 < counts["chunks"] < system.stats["groups"]["subdomains_built"]
+        assert 0 < counts["pairs"] <= counts["padded_pairs"]
+
+
+def _classical_systems(monkeypatch, budget):
+    """Beam 33x5 MLPG1/MLPG5 and plate level 0 MLPG5 under a chunk budget."""
+    monkeypatch.setattr(mlpg, "PAIR_BUDGET", budget)
+    beam = geo.generate_beam_nodes(33, 5, 8.0, 1.0)
+    plate_problem = bm.PlateProblem()
+    plate = bm.plate_level_factory(plate_problem)(0)[1]
+    return [mlpg.assemble_mlpg(nodes, problem, variant)
+            for nodes, problem, variant in ((beam, bm.BeamProblem(), "mlpg1"),
+                                            (beam, bm.BeamProblem(), "mlpg5"),
+                                            (plate, plate_problem, "mlpg5"))]
+
+
+def test_chunk_budget_does_not_change_classical_results(monkeypatch):
+    systems = _classical_systems(monkeypatch, mlpg.PAIR_BUDGET)
+    for budget, chunks in ((1, "one subdomain"), (10**12, "a whole batch")):
+        for system, again in zip(systems, _classical_systems(monkeypatch, budget)):
+            assert _rel(again.matrix, system.matrix) <= 1e-13, chunks
+            assert np.array_equal(again.rhs, system.rhs), chunks
+            # one chunk per subdomain, or one per batch of BATCH_NODES (no
+            # batch of these clouds reaches TRACTION_BUDGET)
+            built = again.stats["groups"]["subdomains_built"]
+            expect = built if budget == 1 else -(-built // asm.BATCH_NODES)
+            assert again.stats["classical"]["chunks"] == expect
 
 
 def test_chunk_size_does_not_change_results(monkeypatch):
@@ -365,6 +448,45 @@ def test_deficient_nodes_fail_assembly_in_node_order(method, error):
     # a direct node's moment deficiency outranks its clip error; the classical
     # methods fit no moment system at a weak node
     assert all(isinstance(e, error) for _, e in info.value.failures)
+
+
+@pytest.mark.parametrize("variant", ["mlpg1", "mlpg5"])
+def test_deficient_classical_nodes_fail_alone(variant):
+    problem = bm.ManufacturedProblem(bm.linear_patch_coeffs(2), (2.0, 1.0))
+    base = geo.generate_grid_nodes((11, 6), (2.0, 1.0))
+    k = int(np.argmin(np.linalg.norm(base.points - [1.0, 0.6], axis=1)))
+    support = base.support.copy()
+    # the quadrature points inside node k's box have k as nearest node, and
+    # no node lies within their shrunken support: a zero moment matrix.  The
+    # nominal mesh size only bounds the supports from below
+    support[k] = 0.3 * base.mesh_size
+    nodes = geo.NodeSet(base.points, base.tags, base.masks, base.spacing, support,
+                        0.2 * base.mesh_size)
+    config = asm.SolverConfig()
+    with pytest.raises(asm.AssemblyError) as info:
+        mlpg.assemble_mlpg(nodes, problem, variant, config)
+    failures = dict(info.value.failures)
+
+    def first_point(j):
+        sub = asm.subdomain_for_node(j, nodes, problem.geometry, config)
+        if variant == "mlpg1":
+            return sub.interior_rule(config.quad_mlpg).points[0]
+        return asm.boundary_operator(sub, np.eye(3), ela.voigt_map(2),
+                                     lambda piece: piece.rule(config.quad_mlpg))[0][0]
+
+    nan = mls.NodeDeficiencyError(first_point(k), math.nan)
+    if variant == "mlpg1":
+        assert failures.keys() == {k} and str(failures[k]) == str(nan)
+        return
+    # a face point ties between two nodes and takes the lower index's
+    # support, so the neighbours above and to the right (k + 1, k + 6) fail
+    # too.  k and k + 1 pass the first-point check and meet a singular
+    # matrix further on; each is solved alone and reported at its own rule
+    assert list(failures) == [k, k + 1, k + 6]
+    for j in (k, k + 1):
+        singular = mls.NodeDeficiencyError(first_point(j), math.inf, "Singular matrix")
+        assert str(failures[j]) == str(singular)
+    assert str(failures[k + 6]) == str(mls.NodeDeficiencyError(first_point(k + 6), math.nan))
 
 
 def test_empty_point_stack_returns_empty_fields():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dmlpg import assembly as asm
 from dmlpg import benchmarks as bm
@@ -70,8 +71,12 @@ def _per_node_loop(nodes, problem, method, config):
     moments = mls.gmls_batch(nodes.points, nodes.support, nodes, config.m,
                              functionals.reshape(nodes.n, d * d, -1), eps=config.eps)
     owner = np.repeat(np.arange(nodes.n), np.diff(moments.indptr))
-    matrix = asm._block_matrix(owner, moments.active,
-                               moments.coefficients.reshape(d, d, -1), nodes.n)
+    # the blocks as COO triplets, summed and sorted by scipy (the former scatter)
+    blocks = moments.coefficients.reshape(d, d, -1)
+    rows = np.broadcast_to(d * owner + np.arange(d)[:, None, None], blocks.shape)
+    cols = np.broadcast_to(d * moments.active + np.arange(d)[None, :, None], blocks.shape)
+    matrix = sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                           shape=(nodes.n * d, nodes.n * d)).tocsr()
     matrix.eliminate_zeros()
     return matrix, rhs, cache
 
@@ -101,7 +106,7 @@ def test_plan_matches_the_per_node_policy(name):
             assert not sub.curved_clip
             lo, hi = plan.extent[k].tolist()
             signature = (("ball", size, ()) if shape == "ball"
-                         else ("box", tuple(lo), tuple(hi)))
+                         else ("box", tuple(lo), tuple(hi), ((False, None),) * 2 * len(lo)))
             assert sub.signature == signature
     assert whole > nodes.n // 3
 
@@ -195,3 +200,25 @@ def test_traction_batch_size_does_not_change_results(monkeypatch, name):
         again = asm.assemble(nodes, problem, method, config)
         assert np.array_equal(again.rhs, system.rhs)
         assert np.array_equal(again.matrix.data, system.matrix.data)
+
+
+@pytest.mark.parametrize("method", ["dmlpg1", "dmlpg5"])
+def test_box_on_a_traction_plane_misses_the_interior_signature(method):
+    # node (0.5, 0.375) moved to y = 0.4375: its box keeps the interior boxes'
+    # extent, but its top face lies on the prescribed-traction plane y = 0.5
+    problem = bm.ManufacturedProblem(bm.linear_patch_coeffs(2), (1.0, 0.5))
+    base = geo.generate_grid_nodes((9, 5), (1.0, 0.5))
+    pts = base.points.copy()
+    k = int(np.argmin(np.linalg.norm(pts - [0.5, 0.375], axis=1)))
+    pts[k, 1] = 0.4375
+    nodes = geo.NodeSet(pts, base.tags, base.masks, base.spacing, base.support,
+                        base.mesh_size)
+    sub = asm.subdomain_for_node(k, nodes, problem.geometry, asm.SolverConfig())
+    assert [p.on_gamma for p in sub.pieces] == [False, False, False, True]
+    on = asm.assemble(nodes, problem, method, asm.SolverConfig())
+    off = asm.assemble(nodes, problem, method, asm.SolverConfig(cache=False))
+    assert _rel(on.matrix, off.matrix) <= 1e-14
+    assert np.array_equal(on.rhs, off.rhs)
+    u = asm.solve(on)
+    exact = problem.exact_u(nodes.points).ravel()
+    assert np.linalg.norm(u - exact) / np.linalg.norm(exact) < 1e-10

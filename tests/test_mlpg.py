@@ -48,16 +48,16 @@ def test_derivatives_match_finite_differences(beam_nodes):
 def test_batched_matches_single_point(beam_nodes):
     pts = np.array([[3.1, 0.42], [3.15, 0.5], [2.95, 0.61]])
     union = beam_nodes.neighbors(pts[0], delta=1.5)
-    basis = mls.PolyBasis(2, 2, pts[0], 1.0)
     deltas = np.array([beam_nodes.support_at(p) for p in pts])
-    values, grads, _ = mlpg.batched_shape_eval(pts, beam_nodes.points[union],
-                                               deltas, basis, 4.0)
+    values, grads, errors = mlpg.batched_shape_eval(
+        pts[None], beam_nodes.points[union][None], deltas[None], pts[:1], np.ones(1), 2, 4.0)
+    assert errors == [None]
     for i, p in enumerate(pts):
         single = mlpg.mls_shape_with_derivatives(p, beam_nodes, 2)
         lookup = {j: k for k, j in enumerate(union)}
         for k, j in enumerate(single.active):
             assert abs(values[i, lookup[j]] - single.values[k]) < 1e-10
-            assert np.abs(grads[i, lookup[j]] - single.gradients[k]).max() < 1e-8
+            assert np.abs(grads[i, :, lookup[j]] - single.gradients[k]).max() < 1e-8
 
 
 @pytest.mark.parametrize("variant", ["mlpg1", "mlpg5"])
