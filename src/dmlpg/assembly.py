@@ -29,10 +29,8 @@ from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 
 from . import elasticity as ela
 from . import mls
-from .geometry import (DIRICHLET, MIXED, Subdomain, UnsupportedClipError,
-                       build_subdomain, canonical_shape, whole_subdomains)
-
-_GEOM_TOL = 1e-12
+from .geometry import (DIRICHLET, MIXED, Subdomain, UnsupportedClipError, ball_clip,
+                       box_clip, build_subdomain, canonical_shape)
 
 
 class SingularSystemError(Exception):
@@ -356,40 +354,52 @@ class GlobalSystem:
 
 @dataclass
 class SubdomainPlan:
-    """The shape/size policy's decisions for a stack of nodes.
+    """The shape/size policy's decisions and the builders' clips, per node.
 
     ``shape`` ("box" or "ball") and ``size`` are what ``build_subdomain``
-    receives.  ``whole`` marks the subdomains no boundary clips and
-    ``extent`` holds their relative bounds (``geometry.whole_subdomains``),
-    which with the shape and size make up a whole subdomain's signature.
+    receives.  ``lo`` and ``hi`` are a box's corners as its builder clips
+    them, and for a ball those of its bound box (side 2r).  ``faces`` marks the (low, high) bound
+    planes of each axis that clip a subdomain: a box face moved onto one, or
+    a plane through a ball's centre.  ``whole`` marks the subdomains their
+    builder does not clip.
     """
 
     shape: np.ndarray           # (n,) str
     size: np.ndarray            # (n,) side length (box) or radius (ball)
     whole: np.ndarray           # (n,) bool
-    extent: np.ndarray          # (n, 2, d)
+    lo: np.ndarray              # (n, d)
+    hi: np.ndarray              # (n, d)
+    faces: np.ndarray           # (n, 2, d) bool
 
 
 def plan_subdomains(points, spacing, geometry, config: SolverConfig) -> SubdomainPlan:
-    """Shape/size policy: curved-boundary nodes get clipped disks or balls;
-    everything else uses the configured shape shrunk clear of curved cuts."""
+    """Shape/size policy: a node on a curve (within the disk builder's
+    tolerance) gets a clipped disk or ball; every other node uses the
+    configured shape, shrunk clear of the curves.  The clips come from the
+    builders' own rules, ``geometry.box_clip`` and ``geometry.ball_clip``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     spacing = np.asarray(spacing, dtype=float)
-    tol = _GEOM_TOL * np.maximum(1.0, np.abs(points).max(axis=1))
-    clearance = geometry.curved_clearance(points)
+    radius = config.ball_factor * spacing
+    _, _, curves, tol = ball_clip(points, radius, geometry)
+    clearance = np.min([np.full(len(points), math.inf), *(gap for _, gap in curves)], axis=0)
     shape = canonical_shape(config.shape)
+    size, cap = radius, clearance
     if shape == "box":
-        size = config.box_factor * spacing
-        cap = 2.0 * clearance / math.sqrt(points.shape[1])
-        size = np.where(size > cap, cap * (1.0 - 1e-9), size)
-    else:
-        size = config.ball_factor * spacing
-        size = np.where(size > clearance, clearance * (1.0 - 1e-9), size)
+        size, cap = config.box_factor * spacing, 2.0 * clearance / math.sqrt(points.shape[1])
+    size = np.where(size > cap, cap * (1.0 - 1e-9), size)
     curved = clearance <= tol
-    size = np.where(curved, config.ball_factor * spacing, size)
-    shapes = np.where(curved, "ball", shape)
-    whole, extent = whole_subdomains(points, shapes == "ball", size, geometry)
-    return SubdomainPlan(shapes, size, whole, extent)
+    size = np.where(curved, radius, size)
+    ball = curved | (shape == "ball")
+    lo, hi, box_faces, crosses = box_clip(points, np.where(ball, 2.0 * size, size), geometry)
+    lo_gap, hi_gap, curves, tol = ball_clip(points, size, geometry)
+    faces = np.where(ball[:, None, None], np.stack([lo_gap, hi_gap], axis=1) <= tol[:, None, None],
+                     np.stack(box_faces, axis=1))
+    # a ball is whole when no plane or curve is within the tolerance of its
+    # centre or short of its radius by more
+    gaps = np.column_stack([lo_gap, hi_gap, *(gap for _, gap in curves)])
+    whole = np.where(ball, np.all((gaps > tol[:, None]) & (gaps >= (size - tol)[:, None]), axis=1),
+                     ~faces.any(axis=(1, 2)) & ~crosses)
+    return SubdomainPlan(np.where(ball, "ball", "box"), size, whole, lo, hi, faces)
 
 
 def subdomain_for_node(k: int, nodes, geometry, config: SolverConfig) -> Subdomain:
@@ -409,8 +419,11 @@ def _signature_groups(plan: SubdomainPlan, nodes, candidates) -> dict:
     k = candidates[plan.whole[candidates]]
     if not k.size:
         return {}
-    keys = np.column_stack([plan.shape[k] == "ball", nodes.support[k],
-                            plan.extent[k].reshape(k.size, -1)])
+    ball = plan.shape[k] == "ball"
+    # a whole box's signature is its extent about the node, a ball's its radius
+    extent = np.column_stack([plan.lo[k] - nodes.points[k], plan.hi[k] - nodes.points[k]])
+    keys = np.column_stack([ball, nodes.support[k],
+                            np.where(ball[:, None], plan.size[k, None], extent)])
     order = np.lexsort(keys.T)          # stable: ascending node order in a group
     keys = keys[order]
     starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
@@ -501,19 +514,18 @@ def _node_rows(row_builder, nodes, batch, problem, config, cache, counts) -> lis
     return rows
 
 
-def _weak_rows(nodes, problem, method: str, config: SolverConfig, weak_rows,
-               grouped: bool, cache: LambdaCache, stage: StageTimer, counts: dict):
+def _weak_rows(nodes, problem, config: SolverConfig, weak_rows, grouped: bool,
+               cache: LambdaCache, stage: StageTimer, counts: dict):
     """The weak rows of the node loop.  The row kernel ``weak_rows(nodes,
     batch, problem, config, cache, counts)`` maps a batch of ``(node,
     subdomain)`` pairs to each node's ``FunctionalRow`` or error.
 
     ``plan_subdomains`` sizes every subdomain in one pass.  When ``grouped``
-    (the direct methods with the cache on), the nodes whose subdomains no
-    boundary clips are grouped by cache key: the lowest-index node of each
-    group builds its subdomain and row, and the others take its functional
-    and only the body-force term of the right-hand side (zero without a body
-    force; with one, each member builds its subdomain for it).  Every other
-    weak node builds its own.  Rows are built in node order, in batches that
+    (the direct methods with the cache on and no body force), the nodes
+    whose subdomains no boundary clips are grouped by cache key: the
+    lowest-index node of each group builds its subdomain and row, and the
+    others take its functional and a zero right-hand side.  Every other weak
+    node builds its own.  Rows are built in node order, in batches that
     share one ``problem.traction`` call (``TRACTION_BUDGET``, ``BATCH_NODES``).
 
     Returns the node-centred functionals (n, d, d, Q), the right-hand side,
@@ -539,33 +551,16 @@ def _weak_rows(nodes, problem, method: str, config: SolverConfig, weak_rows,
                 "grouped_nodes": int(sum(g.size for g in groups.values())),
                 "subdomains_built": int(built.size)}
 
-    def store(k, row, beta, measure):
-        lam = row.lam / measure
-        lam[:, nodes.masks[k], :] = 0.0
-        if row.active is None:
-            functionals[k] = lam.transpose(1, 2, 0)
-        else:
-            explicit.append((k, row.active, lam))
-        rhs[d * k: d * k + d] = beta / measure
-
     def serve_group(members, row, sub):
         """The rows of a group's other nodes from its first node's ``row``."""
         cache.record_hits(row.cache_key, len(members))
-        if getattr(problem, "body", None) is None:
-            measures = np.ones(len(members))
-            if config.scale_rows:
-                measures = _whole_measures(nodes, plan, members, sub)
-            block = row.lam.transpose(1, 2, 0)[None] / measures[:, None, None, None]
-            block[nodes.masks[members]] = 0.0
-            functionals[members] = block      # the right-hand sides stay zero
-            return
-        for j in members:       # a body force needs each member's own rule
-            member = build_subdomain(nodes.points[j], plan.shape[j], plan.size[j],
-                                     problem.geometry)
-            test = test_function(member, config) if method == "dmlpg1" else None
-            store(j, row, _beta(member, problem, config, ~nodes.masks[j], test),
-                  member.measure if config.scale_rows else 1.0)
-        grouping["subdomains_built"] += len(members)
+        measures = np.ones(len(members))
+        if config.scale_rows:       # as the builders form them
+            measures = (np.full(len(members), sub.measure) if sub.shape == "ball"
+                        else np.prod(plan.hi[members] - plan.lo[members], axis=1))
+        block = row.lam.transpose(1, 2, 0)[None] / measures[:, None, None, None]
+        block[nodes.masks[members]] = 0.0
+        functionals[members] = block      # the right-hand sides stay zero
 
     def build_rows(batch, rules):
         rows = weak_rows(nodes, batch, _StackedTraction(problem, rules), config, cache,
@@ -575,7 +570,14 @@ def _weak_rows(nodes, problem, method: str, config: SolverConfig, weak_rows,
                 failures.update(dict.fromkeys(map(int, groups.get(k, [k])), row))
                 continue
             evals.append(row.shape_evals)
-            store(k, row, row.beta, sub.measure if config.scale_rows else 1.0)
+            measure = sub.measure if config.scale_rows else 1.0
+            lam = row.lam / measure
+            lam[:, nodes.masks[k], :] = 0.0
+            if row.active is None:
+                functionals[k] = lam.transpose(1, 2, 0)
+            else:
+                explicit.append((k, row.active, lam))
+            rhs[d * k: d * k + d] = row.beta / measure
             if k in groups:
                 serve_group(groups[k][1:], row, sub)
 
@@ -624,15 +626,14 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_rows,
     stage = StageTimer("subdomains_s", "rows_s", "moments_s", "scatter_s")
     t0 = time.perf_counter()
     classical = Counter(chunks=0, pairs=0, padded_pairs=0)
+    grouped = centred and config.cache and getattr(problem, "body", None) is None
     functionals, rhs, explicit, evals, failures, grouping = _weak_rows(
-        nodes, problem, method, config, weak_rows, centred and config.cache, cache,
-        stage, classical)
-    for k in np.flatnonzero(nodes.masks.any(axis=1)):
-        # one point per call: a stacked call may round differently (BLAS)
-        ubar = problem.dirichlet(nodes.points[k][None, :])[0]
-        for i in np.flatnonzero(nodes.masks[k]):
-            functionals[k, i, i, 0] = 1.0
-            rhs[d * k + i] = ubar[i]
+        nodes, problem, config, weak_rows, grouped, cache, stage, classical)
+    prescribed = np.flatnonzero(nodes.masks.any(axis=1))
+    ubar = problem.dirichlet(nodes.points[prescribed])
+    owner, comp = np.nonzero(nodes.masks[prescribed])
+    functionals[prescribed[owner], comp, comp, 0] = 1.0
+    rhs[d * prescribed[owner] + comp] = ubar[owner, comp]
     # a slice keeps the direct path's inputs views, not copies
     take = slice(None) if centred else np.flatnonzero(nodes.masks.any(axis=1))
     centres = np.arange(nodes.n)[take]
@@ -674,17 +675,6 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_rows,
     return GlobalSystem(matrix, rhs, row_kinds, nodes, d, stats)
 
 
-def _whole_measures(nodes, plan: SubdomainPlan, members, sub: Subdomain) -> np.ndarray:
-    """Measures of whole subdomains sharing ``sub``'s signature, as their
-    builders form them: a box's from its own corners, a ball's from the
-    radius the group shares."""
-    if sub.shape == "ball":
-        return np.full(len(members), sub.measure)
-    centres = nodes.points[members]
-    half = 0.5 * plan.size[members][:, None]
-    return np.prod((centres + half) - (centres - half), axis=1)
-
-
 def _block_rows(owners, counts, active, blocks, n: int) -> sp.csr_matrix:
     """CSR matrix of the d x d ``blocks`` (nnz, d, d): node ``owners[i]``
     (ascending) holds ``counts[i]`` of them, in node columns ``active``."""
@@ -714,7 +704,8 @@ def solve(system: GlobalSystem) -> np.ndarray:
     On both paths an exactly singular factor, a non-finite solution, or a
     condition estimate above ``COND_ALERT`` (e.g. duplicated nodes making rows
     and columns coincide) raises ``SingularSystemError`` rather than returning
-    an arbitrary solution.  The stats receive the relative ``residual``, the
+    an arbitrary solution; above ``COND_ALERT`` the message names the nodes
+    where the weakest mode peaks.  The stats receive the relative ``residual``, the
     ``condition_estimate`` and ``solver``: the ``backend`` ("dense-lu" or
     "sparse-lu"), ``t_factor`` (factor and solve), ``t_condest`` and ``fill``,
     the stored factor entries (n^2 dense; SuperLU's ``nnz`` sparse).
@@ -743,8 +734,13 @@ def solve(system: GlobalSystem) -> np.ndarray:
     cond = condest(anorm)
     t_condest = time.perf_counter() - t1
     if cond > COND_ALERT:
+        # one inverse-iteration step: A^-1 of a generic vector leans on the
+        # weakest mode, so its largest entries name the nodes that carry it
+        weak = np.abs(inverse(np.random.default_rng(0).standard_normal(n)))
+        peaks = np.argsort(weak.reshape(-1, system.dim).max(axis=1))[::-1][:3]
         raise SingularSystemError(
-            f"system condition estimate {cond:.2e} exceeds {COND_ALERT:.0e}")
+            f"system condition estimate {cond:.2e} exceeds {COND_ALERT:.0e}; its "
+            f"weakest mode peaks at nodes {peaks.tolist()} (largest first)")
     denom = max(float(np.linalg.norm(system.rhs)), 1e-300)
     residual = float(np.linalg.norm(mat @ u - system.rhs)) / denom
     system.stats["t_solve"] = time.perf_counter() - t0

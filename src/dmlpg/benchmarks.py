@@ -218,7 +218,8 @@ class ManufacturedProblem(Problem):
             self.body = None
 
     def exact_u(self, points):
-        return self._basis.values(np.atleast_2d(points)) @ self.coeffs.T
+        # einsum, not a BLAS matmul: each row rounds the same in any stack
+        return np.einsum("nq,iq->ni", self._basis.values(np.atleast_2d(points)), self.coeffs)
 
     def _grad_u(self, points):
         grads = self._basis.gradients(np.atleast_2d(points))  # (n, Q, d)

@@ -39,7 +39,7 @@ class RunConfig:
     shape: str = "box"
     box_factor: float = 1.0
     ball_factor: float = 0.7
-    delta_factor: float = 2.0       # support scale for uniform clouds
+    delta_factor: float = 0.0       # support scale; 0 means the per-problem default
     near_factor: float = 2.0        # plate: support scale at the hole
     far_factor: float = 2.5         # plate: support scale away from it
     quad_interior: int = 0          # 0 means the exact-count default
@@ -63,11 +63,9 @@ class RunConfig:
 
     @property
     def support_factor(self) -> float:
-        # the shell cloud is tuned for tighter supports; an explicit
-        # delta_factor in the config always wins
-        if self.problem == "boussinesq" and self.delta_factor == 2.0:
-            return 1.5
-        return self.delta_factor
+        if self.delta_factor > 0.0:
+            return self.delta_factor
+        return 1.5 if self.problem == "boussinesq" else 2.0   # the shell's tighter supports
 
     def solver_config(self) -> asm.SolverConfig:
         return asm.SolverConfig(
@@ -131,17 +129,19 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"key 'method': unknown method {config.method!r}")
     if config.m < 2:
         raise ConfigError("key 'm': the direct methods need basis degree >= 2")
-    positive = ["eps", "box_factor", "ball_factor", "delta_factor", "near_factor",
-                "far_factor", "quad_radial", "quad_angular", "quad_curved",
-                "quad_traction", "quad_mlpg", "levels", "load", "target"]
+    positive = ["eps", "box_factor", "ball_factor", "near_factor", "far_factor",
+                "quad_radial", "quad_angular", "quad_curved", "quad_traction", "quad_mlpg",
+                "levels", "load", "target"]
     for name in positive:
         if getattr(config, name) <= 0:
             raise ConfigError(f"key {name!r}: must be positive")
-    for name in ("quad_interior", "quad_boundary"):
+    for name in ("delta_factor", "quad_interior", "quad_boundary"):
         if getattr(config, name) < 0:
             raise ConfigError(f"key {name!r}: must be nonnegative")
-    if config.shape not in ("box", "ball", "square", "cube", "disk", "circle", "sphere"):
-        raise ConfigError(f"key 'shape': unknown subdomain shape {config.shape!r}")
+    try:
+        geo.canonical_shape(config.shape)
+    except ValueError as err:
+        raise ConfigError(f"key 'shape': {err}") from None
     if config.poisson >= 0.5:
         raise ConfigError("key 'poisson': must be below 0.5")
 

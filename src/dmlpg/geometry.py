@@ -256,21 +256,6 @@ class DomainGeometry:
         """Curved boundary descriptors: list of (kind, center, radius, keep)."""
         return []
 
-    def curved_clearance(self, x):
-        """Distance from x to the nearest curved boundary (inf if none).
-
-        ``x`` is one point (a float comes back) or an (n, d) stack (an array).
-        """
-        x = np.asarray(x, dtype=float)
-        best = np.full(x.shape[:-1], math.inf)
-        for _, center, radius, keep in self.curves():
-            diff = x - center
-            # one dot product per point, as ``np.linalg.norm`` takes it for a
-            # single vector, so a point and a stack agree bit for bit
-            rho = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
-            best = np.minimum(best, rho - radius if keep == "outside" else radius - rho)
-        return float(best) if x.ndim == 1 else best
-
     def curve_bc(self, curve) -> PlaneBC:
         raise NotImplementedError
 
@@ -414,41 +399,94 @@ def _canon(v: float) -> float:
     return 0.0 if v == 0.0 else float(v)
 
 
+def _norm(v):
+    """Euclidean norm over the last axis, one dot product per vector as
+    ``np.linalg.norm`` takes it for one vector, so one and a stack agree bit
+    for bit."""
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+
+
+# The clip rules take one subdomain ((d,) centre, float size) or a stack ((n,
+# d), (n,)).  The builders and ``assembly.plan_subdomains`` share them, so a
+# subdomain is whole in the plan exactly when its builder clips nothing.
+
+
+def box_clip(centers, size, geometry):
+    """The clip rule of axis boxes of side ``size``.
+
+    A face within ``_GEOM_TOL * size`` of a bound plane, or beyond it, moves
+    onto it.  Returns ``lo`` and ``hi`` so clipped, ``faces``: the (low,
+    high) flags of the faces that moved, (..., d) each, and ``crosses``
+    (...): whether the clipped box reaches more than ``_GEOM_TOL`` across a
+    curve.  A box may not cross a curve; the size policy shrinks it instead.
+    """
+    centers = np.asarray(centers, dtype=float)
+    size = np.asarray(size, dtype=float)[..., None]
+    half, tol = 0.5 * size, _GEOM_TOL * size
+    lo, hi = centers - half, centers + half
+    faces = (lo - geometry.bounds_lo <= tol, geometry.bounds_hi - hi <= tol)
+    np.copyto(lo, geometry.bounds_lo, where=faces[0])
+    np.copyto(hi, geometry.bounds_hi, where=faces[1])
+    crosses = np.zeros(centers.shape[:-1], dtype=bool)
+    for _, ccenter, radius, keep in geometry.curves():
+        if keep == "outside":       # the box's nearest point
+            crosses |= _norm(np.clip(ccenter, lo, hi) - ccenter) < radius - _GEOM_TOL
+        else:                       # its farthest corner
+            far = np.where(np.abs(lo - ccenter) > np.abs(hi - ccenter), lo, hi)
+            crosses |= _norm(far - ccenter) > radius + _GEOM_TOL
+    return lo, hi, faces, crosses
+
+
+def ball_clip(centers, radius, geometry):
+    """The clip rule of disks and balls of ``radius``.
+
+    Returns the gaps from the centre to the low and to the high bound plane
+    of each axis ((..., d) each), ``curves``: each curve of
+    ``geometry.curves()`` with its clearance (the gap to it, positive inside
+    the domain), and the tolerance ``_GEOM_TOL * max(radius, 1)``.  A gap
+    within the tolerance clips the subdomain through its centre; a gap short
+    of the radius by more than the tolerance crosses it off-centre.
+    """
+    curves = []
+    for curve in geometry.curves():
+        _, ccenter, cradius, keep = curve
+        rho = _norm(centers - ccenter)
+        curves.append((curve, rho - cradius if keep == "outside" else cradius - rho))
+    scale = max(radius, 1.0) if isinstance(radius, float) else np.maximum(radius, 1.0)
+    return centers - geometry.bounds_lo, geometry.bounds_hi - centers, curves, _GEOM_TOL * scale
+
+
+def _centre_planes(center, radius, geometry):
+    """``ball_clip`` of one disk or ball: the bound planes (axis, side)
+    through its centre, the curves with their clearance and the tolerance.
+    Raises for a centre outside the bound box or a plane crossing off-centre."""
+    lo_gap, hi_gap, curves, tol = ball_clip(center, radius, geometry)
+    reach = radius - tol
+    planes = []
+    for axis, (low, high) in enumerate(zip(lo_gap.tolist(), hi_gap.tolist())):
+        for side, gap in ((-1, low), (1, high)):
+            if gap <= tol:
+                if gap < -tol:
+                    raise UnsupportedClipError(f"center {center} outside domain box")
+                planes.append((axis, side))
+            elif gap < reach:
+                raise UnsupportedClipError(
+                    f"subdomain at {center} crosses plane x[{axis}] off-center")
+    return planes, curves, tol
+
+
 def _build_box_subdomain(center, size, geometry) -> Subdomain:
     d = center.size
-    half = 0.5 * size
-    lo = center - half
-    hi = center + half
-    clipped = {}
-    for axis in range(d):
-        if lo[axis] < geometry.bounds_lo[axis] - _GEOM_TOL * size:
-            lo[axis] = geometry.bounds_lo[axis]
-            clipped[(axis, -1)] = True
-        elif abs(lo[axis] - geometry.bounds_lo[axis]) <= _GEOM_TOL * size:
-            lo[axis] = geometry.bounds_lo[axis]
-            clipped[(axis, -1)] = True
-        if hi[axis] > geometry.bounds_hi[axis] + _GEOM_TOL * size:
-            hi[axis] = geometry.bounds_hi[axis]
-            clipped[(axis, 1)] = True
-        elif abs(hi[axis] - geometry.bounds_hi[axis]) <= _GEOM_TOL * size:
-            hi[axis] = geometry.bounds_hi[axis]
-            clipped[(axis, 1)] = True
-    if np.any(hi <= lo):
+    lo, hi, faces, crosses = box_clip(center, size, geometry)
+    if (hi <= lo).any():
         raise UnsupportedClipError(f"box subdomain at {center} collapses under clipping")
-    # boxes may not cross curved boundaries; the caller shrinks them instead
-    for kind, ccenter, radius, keep in geometry.curves():
-        closest = np.clip(ccenter, lo, hi)
-        farthest = np.where(np.abs(lo - ccenter) > np.abs(hi - ccenter), lo, hi)
-        if keep == "outside" and np.linalg.norm(closest - ccenter) < radius - _GEOM_TOL:
-            raise UnsupportedClipError(
-                f"box subdomain at {center} crosses curved boundary {kind}")
-        if keep == "inside" and np.linalg.norm(farthest - ccenter) > radius + _GEOM_TOL:
-            raise UnsupportedClipError(
-                f"box subdomain at {center} crosses curved boundary {kind}")
+    if crosses:
+        raise UnsupportedClipError(f"box subdomain at {center} crosses a curved boundary")
+    faces = [f.tolist() for f in faces]
     pieces = []
     for axis in range(d):
         for side in (-1, 1):
-            on_gamma = (axis, side) in clipped
+            on_gamma = faces[side > 0][axis]
             known = None
             if on_gamma:
                 bc = geometry.plane_bc(axis, side)
@@ -489,18 +527,7 @@ def _build_disk_subdomain(center, radius, geometry) -> Subdomain:
     clips wrapping through theta = 0 keep every piece; boundary coverage is
     checked downstream by divergence-theorem identities in the tests.
     """
-    tol = _GEOM_TOL * max(radius, 1.0)
-    plane_clips = []
-    for axis in range(2):
-        for side, bound in ((-1, geometry.bounds_lo[axis]), (1, geometry.bounds_hi[axis])):
-            dist = (center[axis] - bound) if side < 0 else (bound - center[axis])
-            if dist < -tol:
-                raise UnsupportedClipError(f"disk center {center} outside domain box")
-            if dist <= tol:
-                plane_clips.append((axis, side))
-            elif dist < radius - tol:
-                raise UnsupportedClipError(
-                    f"disk at {center} crosses plane x[{axis}] off-center")
+    plane_clips, curves, tol = _centre_planes(center, radius, geometry)
 
     def intersect_all(intervals, lo, hi):
         out = []
@@ -528,15 +555,12 @@ def _build_disk_subdomain(center, radius, geometry) -> Subdomain:
             raise UnsupportedClipError(f"disk at {center}: empty plane clip")
 
     hole = None
-    for curve in geometry.curves():
-        kind, ccenter, cradius, keep = curve
-        rho = float(np.linalg.norm(center - ccenter))
-        clearance = rho - cradius if keep == "outside" else cradius - rho
-        if clearance <= tol and keep == "outside":
+    for curve, clearance in curves:
+        if clearance <= tol and curve[3] == "outside":
             hole = curve
         elif clearance < radius - tol:
             raise UnsupportedClipError(
-                f"disk at {center} crosses curved boundary {kind} off-center")
+                f"disk at {center} crosses curved boundary {curve[0]} off-center")
 
     zero = lambda th: np.zeros_like(th)
     segments = []          # (th0, th1, rlo_fn): interior radial sections
@@ -641,25 +665,15 @@ def _build_disk_subdomain(center, radius, geometry) -> Subdomain:
 
 def _build_ball_subdomain(center, radius, geometry) -> Subdomain:
     """3D ball clipped by axis planes through its center (keep-positive side)."""
-    tol = _GEOM_TOL * max(radius, 1.0)
-    clips = []
-    for axis in range(3):
-        for side, bound in ((-1, geometry.bounds_lo[axis]), (1, geometry.bounds_hi[axis])):
-            dist = (center[axis] - bound) if side < 0 else (bound - center[axis])
-            if dist <= tol:
-                if side > 0:
-                    raise UnsupportedClipError(
-                        f"ball at {center}: clip against a high plane is unsupported")
-                clips.append(axis)
-            elif dist < radius - tol:
-                raise UnsupportedClipError(
-                    f"ball at {center} crosses plane x[{axis}] off-center")
-    for kind, ccenter, cradius, keep in geometry.curves():
-        rho = float(np.linalg.norm(center - ccenter))
-        clearance = rho - cradius if keep == "outside" else cradius - rho
+    planes, curves, tol = _centre_planes(center, radius, geometry)
+    if any(side > 0 for _, side in planes):
+        raise UnsupportedClipError(
+            f"ball at {center}: clip against a high plane is unsupported")
+    clips = [axis for axis, _ in planes]
+    for curve, clearance in curves:
         if clearance < radius - tol:
             raise UnsupportedClipError(
-                f"ball at {center} meets curved boundary {kind}")
+                f"ball at {center} meets curved boundary {curve[0]}")
     polar = (0.0, 0.5 * math.pi) if 2 in clips else (0.0, math.pi)
     if 0 in clips and 1 in clips:
         azim = (0.0, 0.5 * math.pi)
@@ -727,6 +741,7 @@ def build_subdomain(center, shape: str, size: float, geometry: DomainGeometry) -
     ``shape`` is "box" or "ball" or an alias (``canonical_shape``); ``size``
     is the side length or radius.
     """
+    size = float(size)          # the builders' scalar arithmetic is faster on a float
     if size <= 0.0:
         raise ValueError("subdomain size must be positive")
     center = np.asarray(center, dtype=float).copy()
@@ -736,46 +751,6 @@ def build_subdomain(center, shape: str, size: float, geometry: DomainGeometry) -
     if center.size == 2:
         return _build_disk_subdomain(center, size, geometry)
     return _build_ball_subdomain(center, size, geometry)
-
-
-def whole_subdomains(centers, ball, size, geometry: DomainGeometry):
-    """Which subdomains ``build_subdomain`` leaves unclipped, for a stack.
-
-    ``ball`` (n,) picks a ball of radius ``size`` over a box of side ``size``.
-    A subdomain is whole when it lies inside every bound plane and clear of
-    every curve by more than twice the builders' tolerances, so a subdomain
-    near a tolerance reads False.  Returns ``whole`` (n,) and ``extent`` (n,
-    2, d): ``lo - center`` and ``hi - center`` with the box builder's
-    arithmetic (with all faces interior, a whole box's signature), and -r, r
-    for a ball.
-    """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    size = np.asarray(size, dtype=float)
-    half = 0.5 * size[:, None]
-    lo, hi = centers - half, centers + half
-    clearance = geometry.curved_clearance(centers)
-    # boxes: plane tolerance _GEOM_TOL * side, curve tolerance _GEOM_TOL
-    margin = 2.0 * _GEOM_TOL * size[:, None]
-    box_whole = (np.all(lo - geometry.bounds_lo > margin, axis=1)
-                 & np.all(geometry.bounds_hi - hi > margin, axis=1)
-                 & np.all(hi > lo, axis=1))
-    for _, ccenter, radius, keep in geometry.curves():
-        if keep == "outside":
-            gap = np.linalg.norm(np.clip(ccenter, lo, hi) - ccenter, axis=1) - radius
-        else:
-            far = np.where(np.abs(lo - ccenter) > np.abs(hi - ccenter), lo, hi)
-            gap = radius - np.linalg.norm(far - ccenter, axis=1)
-        box_whole &= gap > 2.0 * _GEOM_TOL
-    # balls: one tolerance, _GEOM_TOL * max(radius, 1), for planes and curves
-    margin = 2.0 * _GEOM_TOL * np.maximum(size, 1.0)
-    plane_gap = np.minimum(centers - geometry.bounds_lo,
-                           geometry.bounds_hi - centers).min(axis=1)
-    ball_whole = (plane_gap - size > margin) & (clearance - size > margin)
-    whole = np.where(ball, ball_whole, box_whole) & (size > 0.0)
-    # + 0.0 turns -0.0 into 0.0, as the builders' signatures do
-    extent = np.where(ball[:, None, None], np.stack([-size, size], axis=1)[:, :, None],
-                      np.stack([lo - centers, hi - centers], axis=1)) + 0.0
-    return whole, extent
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,19 @@ def test_strains_match_displacement_gradients(problem, points):
         assert np.abs(eps_fd - eps).max() < 1e-4 * max(np.abs(eps).max(), 1e-12)
 
 
+@pytest.mark.parametrize("problem", [
+    bm.BeamProblem(), bm.PlateProblem(), bm.BoussinesqProblem(),
+    bm.ManufacturedProblem(bm.quadratic_patch_coeffs(2), (2.0, 1.0)),
+    bm.ManufacturedProblem(bm.quadratic_patch_coeffs(3), (1.0, 0.5, 0.5)),
+], ids=["beam", "plate", "boussinesq", "manufactured-2d", "manufactured-3d"])
+def test_dirichlet_values_of_a_stack_match_one_point_at_a_time(problem):
+    # the assembly takes every prescribed value from one stacked call
+    d = problem.geometry.dim
+    points = np.random.default_rng(3).uniform(0.3, 1.0, (257, d))
+    one = np.concatenate([problem.dirichlet(x[None]) for x in points])
+    assert np.array_equal(problem.dirichlet(points), one)
+
+
 def test_relative_errors_trivial_cases():
     prob = bm.BeamProblem()
     nodes = geo.generate_beam_nodes(17, 5, 8.0, 1.0)

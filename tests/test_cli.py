@@ -49,6 +49,25 @@ def test_parse_rejects_bad_method():
         cli.parse_config("problem = beam\nmethod = fem\n")
 
 
+@pytest.mark.parametrize("shape", ["box", "rect", "square", "cube", "ball", "disk",
+                                   "circle", "sphere"])
+def test_parse_accepts_every_shape_alias(shape):
+    assert cli.parse_config(f"problem = beam\nshape = {shape}\n").shape == shape
+    with pytest.raises(cli.ConfigError, match="shape"):
+        cli.parse_config("problem = beam\nshape = hexagon\n")
+
+
+def test_explicit_delta_factor_wins_and_zero_means_the_default():
+    defaults = {"beam": 2.0, "plate": 2.0, "boussinesq": 1.5, "manufactured": 2.0}
+    for problem, default in defaults.items():
+        assert cli.parse_config(f"problem = {problem}\n").support_factor == default
+        for value in (2.0, 1.5, 3.0):
+            cfg = cli.parse_config(f"problem = {problem}\ndelta_factor = {value}\n")
+            assert cfg.support_factor == value
+    with pytest.raises(cli.ConfigError, match="delta_factor"):
+        cli.parse_config("problem = beam\ndelta_factor = -1\n")
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = cli.parse_config("\n# header\nproblem = beam  # trailing\n\nlevels = 2\n")
     assert cfg.levels == 2

@@ -125,18 +125,28 @@ def test_nodeset_rejects_nan_mesh_size():
                     math.nan)
 
 
-def test_curved_clearance_of_a_point_and_of_a_stack_agree():
+def test_clip_rules_of_a_point_and_of_a_stack_agree():
     dom = geo.SphereOctantShell(0.25, 10.0)
-    pts = np.random.default_rng(4).uniform(0.0, 6.0, (200, 3))
-    stack = dom.curved_clearance(pts)
-    assert stack.shape == (200,)
-    single = [dom.curved_clearance(x) for x in pts]
-    assert all(isinstance(c, float) for c in single)
-    assert np.array_equal(stack, single)
-    oracle = [min(float(np.linalg.norm(x)) - 0.25, 10.0 - float(np.linalg.norm(x)))
-              for x in pts]
-    assert np.array_equal(stack, oracle)
-    assert geo.BeamDomain(8.0, 1.0).curved_clearance(pts[:, :2]).tolist() == [math.inf] * 200
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(0.0, 9.0, (200, 3))
+    sizes = rng.uniform(0.1, 8.0, 200)
+    lo_gap, hi_gap, curves, tol = geo.ball_clip(pts, sizes, dom)
+    assert [curve[0] for curve, _ in curves] == ["inner-sphere", "outer-sphere"]
+    rho = np.array([float(np.linalg.norm(x)) for x in pts])
+    assert np.array_equal(curves[0][1], rho - 0.25)
+    assert np.array_equal(curves[1][1], 10.0 - rho)
+    lo, hi, (low, high), crosses = geo.box_clip(pts, sizes, dom)
+    assert crosses.any() and low.any() and high.any() and not crosses.all()
+    for k, (x, size) in enumerate(zip(pts, sizes)):
+        one = geo.ball_clip(x, float(size), dom)
+        assert np.array_equal(one[0], lo_gap[k]) and np.array_equal(one[1], hi_gap[k])
+        assert [c for _, c in one[2]] == [c[k] for _, c in curves]
+        assert one[3] == tol[k] == 1e-12 * max(size, 1.0)
+        one = geo.box_clip(x, float(size), dom)
+        assert np.array_equal(one[0], lo[k]) and np.array_equal(one[1], hi[k])
+        assert np.array_equal(one[2][0], low[k]) and np.array_equal(one[2][1], high[k])
+        assert one[3] == crosses[k]
+    assert geo.ball_clip(pts[:, :2], sizes, geo.BeamDomain(8.0, 1.0))[2] == []
 
 
 def test_neighbors_match_brute_force():

@@ -16,9 +16,10 @@ from test_gmls_batch import _case, _rel
 
 
 def _policy_oracle(k, nodes, geometry, config):
-    """(shape, size) of node k under the former per-node size policy."""
+    """(shape, size) of node k under the size policy, one node at a time; a
+    node on a curve is one within the disk builder's tolerance."""
     center, spacing = nodes.points[k], nodes.spacing[k]
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(center))))
+    tol = 1e-12 * max(1.0, config.ball_factor * spacing)
     clearance = math.inf
     for _, ccenter, radius, keep in geometry.curves():
         rho = float(np.linalg.norm(center - ccenter))
@@ -100,11 +101,14 @@ def test_plan_matches_the_per_node_policy(name):
             continue        # no subdomain; the shell's clamped spheres have none
         sub = asm.subdomain_for_node(k, nodes, problem.geometry, config)
         assert sub.shape == shape and sub.size == size
+        lo, hi = (np.stack([plan.lo[k], plan.hi[k]]) - nodes.points[k] + 0.0).tolist()
+        if shape == "box":      # clipped boxes too: their corners and faces
+            assert sub.signature[1:3] == (tuple(lo), tuple(hi))
+            assert [p.on_gamma for p in sub.pieces] == plan.faces[k].T.ravel().tolist()
         if plan.whole[k]:
             whole += 1
             assert not any(piece.on_gamma for piece in sub.pieces)
             assert not sub.curved_clip
-            lo, hi = plan.extent[k].tolist()
             signature = (("ball", size, ()) if shape == "ball"
                          else ("box", tuple(lo), tuple(hi), ((False, None),) * 2 * len(lo)))
             assert sub.signature == signature
@@ -122,7 +126,8 @@ def test_grouped_assembly_is_bit_identical_to_the_per_node_loop(name, scale_rows
     assert system.stats["cache_hits"] == cache.hits
     assert system.stats["cache_misses"] == cache.misses
     assert system.stats["cache_hit_counts"] == cache.hit_counts
-    assert system.stats["groups"]["grouped_nodes"] > 0
+    # a body force (the jittered cloud's quadratic field) turns grouping off
+    assert (system.stats["groups"]["grouped_nodes"] > 0) == (problem.body is None)
 
 
 def test_group_counts_match_every_built_subdomain(monkeypatch):
@@ -163,8 +168,10 @@ def test_body_force_groups_match_the_uncached_assembly(method):
     nodes = geo.generate_grid_nodes((7, 4, 4), (1.0, 0.5, 0.5))
     on = asm.assemble(nodes, problem, method, asm.SolverConfig())
     off = asm.assemble(nodes, problem, method, asm.SolverConfig(cache=False))
-    groups = on.stats["groups"]
-    assert groups["grouped_nodes"] > groups["groups"] > 0
+    # with a body force every weak node builds its own subdomain and rule
+    assert on.stats["groups"] == {"groups": 0, "grouped_nodes": 0,
+                                  "subdomains_built": int(np.sum(nodes.tags != geo.DIRICHLET))}
+    assert on.stats["cache_hits"] > 0
     assert _rel(on.matrix, off.matrix) <= 1e-14
     assert np.abs(on.rhs - off.rhs).max() <= 1e-14 * np.abs(off.rhs).max()
 
@@ -184,11 +191,36 @@ def test_box_face_near_a_plane_takes_the_clipped_path():
     nodes = geo.NodeSet(pts, base.tags, base.masks, base.spacing, base.support, h)
     config = asm.SolverConfig()
     plan = asm.plan_subdomains(nodes.points, nodes.spacing, problem.geometry, config)
-    assert plan.whole[moved].tolist() == [False, False, True]
+    assert plan.whole[moved].tolist() == [False, True, True]
     subs = [asm.subdomain_for_node(k, nodes, problem.geometry, config) for k in moved]
     assert [any(p.on_gamma for p in sub.pieces) for sub in subs] == [True, False, False]
     system = asm.assemble(nodes, problem, "dmlpg1", config)
     _assert_same_system(system, *_per_node_loop(nodes, problem, "dmlpg1", config)[:2])
+
+
+def test_disk_rim_near_a_plane_takes_the_builders_path():
+    problem = bm.ManufacturedProblem(bm.linear_patch_coeffs(2), (1.0, 0.5))
+    base = geo.generate_grid_nodes((9, 5), (1.0, 0.5))
+    config = asm.SolverConfig(shape="ball")
+    r = config.ball_factor * base.mesh_size
+    pts = base.points.copy()
+    # four interior nodes whose disk rim reaches 1.5 and 0.5 tolerances
+    # (1e-12 * max(r, 1)) past the plane y = 0.5, or stops 1.5 and 3 short
+    moved = []
+    for x, gap in ((0.25, -1.5), (0.375, -0.5), (0.5, 1.5), (0.75, 3.0)):
+        k = int(np.argmin(np.linalg.norm(pts - [x, 0.375], axis=1)))
+        pts[k, 1] = 0.5 - r - gap * 1e-12
+        moved.append(k)
+    nodes = geo.NodeSet(pts, base.tags, base.masks, base.spacing, base.support,
+                        base.mesh_size)
+    plan = asm.plan_subdomains(nodes.points, nodes.spacing, problem.geometry, config)
+    assert plan.whole[moved].tolist() == [False, True, True, True]
+    with pytest.raises(geo.UnsupportedClipError, match="off-center"):
+        asm.subdomain_for_node(moved[0], nodes, problem.geometry, config)
+    for k in moved[1:]:
+        sub = asm.subdomain_for_node(k, nodes, problem.geometry, config)
+        assert not any(p.on_gamma for p in sub.pieces)
+        assert sub.signature == ("ball", r, ())
 
 
 @pytest.mark.parametrize("name", ["beam", "plate", "shell"])

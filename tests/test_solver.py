@@ -94,6 +94,21 @@ def test_duplicated_node_raises_on_both_paths(path):
         asm.solve(system)
 
 
+def test_condition_alert_names_the_weak_node_on_both_paths(path):
+    # hole node 96 of the coarsest plate moved 1e-7 outward: the size policy
+    # gives it a sliver box (about 3e-6 of its spacing) and a near-null row
+    problem = bm.PlateProblem()
+    base = bm.plate_level_factory(problem)(0)[1]
+    points = base.points.copy()
+    points[96] *= 1.0 + 1e-7 / np.linalg.norm(points[96])
+    nodes = geo.NodeSet(points, base.tags, base.masks, base.spacing, base.support,
+                        base.mesh_size)
+    system = asm.assemble(nodes, problem, "dmlpg1", asm.SolverConfig())
+    with pytest.raises(asm.SingularSystemError,
+                       match=r"exceeds 1e\+14; its weakest mode peaks at nodes \[96, "):
+        asm.solve(system)
+
+
 def test_zeroed_row_raises_on_both_paths(path):
     system = _beam()
     keep = np.ones(system.matrix.shape[0])
