@@ -19,7 +19,7 @@ import math
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -689,26 +689,49 @@ COND_ALERT = 1e14
 # 3D shell's matrix is about 16% dense; the 2D beams and plate at benchmark
 # sizes are 1-3% dense.
 DENSE_DENSITY = 0.05
+# Factor precisions ``solve`` tries in order, up to float64.  A lower
+# precision is kept only when float64 refinement certifies its solution;
+# float64 is always the fallback.  ``(np.float64,)`` forces double.
+FACTOR_DTYPES = (np.float32, np.float64)
+# refinement stops after REFINE_STEPS corrections; a lower-precision solution
+# is accepted at a relative residual of REFINE_TOL or below on every column
+REFINE_STEPS = 10
+REFINE_TOL = 1e-10
 
 
 def solve(system: GlobalSystem) -> np.ndarray:
-    """Direct LU solve, dense or sparse by the matrix's density.
+    """Direct LU solve, dense or sparse by the matrix's density, single
+    precision first.
 
     With ``nnz >= DENSE_DENSITY * n**2`` LAPACK factors one dense copy of the
     matrix in place, and ``gecon`` estimates the condition number.  Otherwise
     SuperLU factors the sparse matrix with the symmetric ``MMD_AT_PLUS_A``
     column ordering and a diagonal-preferring pivot threshold of 0.1, and
-    ``onenormest`` through the factors estimates the condition number.  Both
-    estimates are in the 1-norm, with ``||A||_1`` taken from the sparse matrix.
+    ``onenormest`` estimates it through block solves with the factors.  Both
+    estimates are in the 1-norm, with ``||A||_1`` taken from the sparse matrix,
+    and come from the accepted factor.
 
-    On both paths an exactly singular factor, a non-finite solution, or a
-    condition estimate above ``COND_ALERT`` (e.g. duplicated nodes making rows
-    and columns coincide) raises ``SingularSystemError`` rather than returning
-    an arbitrary solution; above ``COND_ALERT`` the message names the nodes
-    where the weakest mode peaks.  The stats receive the relative ``residual``, the
-    ``condition_estimate`` and ``solver``: the ``backend`` ("dense-lu" or
-    "sparse-lu"), ``t_factor`` (factor and solve), ``t_condest`` and ``fill``,
-    the stored factor entries (n^2 dense; SuperLU's ``nnz`` sparse).
+    A float32 factor (each ``FACTOR_DTYPES`` entry below float64) is refined
+    in float64 on b and a fixed random probe g together: each step adds the
+    low-precision solve of the residual ``[b, g] - A @ X``, until the larger
+    relative residual fails to halve or after ``REFINE_STEPS`` corrections.
+    g weighs every mode of the matrix, so it stalls on near-singular systems
+    where b alone may converge.  The result is accepted only if both columns
+    end at or below ``REFINE_TOL`` and the condition estimate is at most
+    ``COND_ALERT``; otherwise the factor is dropped and float64 factors and
+    solves without refinement.
+
+    On the float64 path an exactly singular factor, a non-finite solution, or
+    a condition estimate above ``COND_ALERT`` (e.g. duplicated nodes making
+    rows and columns coincide) raises ``SingularSystemError`` rather than
+    returning an arbitrary solution; above ``COND_ALERT`` the message names
+    the nodes where A^-1 g, and so the weakest mode, peaks.  The stats
+    receive the relative ``residual`` of b, the ``condition_estimate`` and
+    ``solver``: the ``backend`` ("dense-lu" or "sparse-lu"), the ``precision``
+    ("single" or "double") and ``refine_steps`` of the accepted solve,
+    ``t_factor`` (factoring, solving and refining with every factor tried),
+    ``t_condest`` and ``fill``, the stored factor entries (n^2 dense;
+    SuperLU's ``nnz`` sparse).
     """
     t0 = time.perf_counter()
     mat = system.matrix
@@ -718,16 +741,73 @@ def solve(system: GlobalSystem) -> np.ndarray:
         raise SingularSystemError("matrix has non-finite entries")
     backend = "dense-lu" if mat.nnz >= DENSE_DENSITY * n * n else "sparse-lu"
     factor = _dense_lu if backend == "dense-lu" else _sparse_lu
+    probe = np.random.default_rng(0).standard_normal(n)
     t1 = time.perf_counter()
+    solved = None
+    for dtype in FACTOR_DTYPES:
+        if dtype == np.float64:
+            break
+        solved = _refined_solve(factor, mat, system.rhs, probe, anorm, dtype)
+        if solved is not None:
+            break
+    if solved is None:
+        solved = _double_solve(factor, mat, system.rhs, probe, anorm, backend,
+                               system.dim)
+    u, residual, cond, solver = solved
+    t_factor = time.perf_counter() - t1 - solver["t_condest"]
+    system.stats["t_solve"] = time.perf_counter() - t0
+    system.stats["residual"] = residual
+    system.stats["condition_estimate"] = float(cond)
+    system.stats["solver"] = {"backend": backend, **solver, "t_factor": t_factor}
+    return u
+
+
+def _refined_solve(factor, mat, rhs, probe, anorm, dtype):
+    """(u, residual, cond, solver stats) from a ``dtype`` factor refined in
+    float64, or None when it is singular or refinement does not certify it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)
+        try:
+            inverse, condest, fill = factor(mat, dtype)
+        except (LinAlgWarning, RuntimeError):
+            return None
+    b = np.column_stack([rhs, probe])
+    norms = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+    x = inverse(b).astype(np.float64)
+    r = b - mat @ x
+    rel = np.linalg.norm(r, axis=0) / norms
+    steps = 0
+    while steps < REFINE_STEPS and np.isfinite(rel).all():
+        x_next = x + inverse(r)
+        r_next = b - mat @ x_next
+        rel_next = np.linalg.norm(r_next, axis=0) / norms
+        if not rel_next.max() <= 0.5 * rel.max():
+            break
+        x, r, rel = x_next, r_next, rel_next
+        steps += 1
+    if not np.all(rel <= REFINE_TOL):
+        return None
+    t1 = time.perf_counter()
+    cond = condest(anorm)
+    t_condest = time.perf_counter() - t1
+    if not cond <= COND_ALERT:
+        return None
+    return x[:, 0].copy(), float(rel[0]), cond, {
+        "precision": "single", "refine_steps": steps, "t_condest": t_condest,
+        "fill": int(fill)}
+
+
+def _double_solve(factor, mat, rhs, probe, anorm, backend, dim):
+    """(u, residual, cond, solver stats) from a float64 factor; raises
+    ``SingularSystemError`` when the system is singular or near it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
-            inverse, condest, fill = factor(mat)
-            u = inverse(system.rhs)
+            inverse, condest, fill = factor(mat, np.float64)
+            u = inverse(rhs)
         except (LinAlgWarning, spla.MatrixRankWarning, RuntimeError) as err:
             raise SingularSystemError(f"{backend} factorization failed: {err}") from None
-    t_factor = time.perf_counter() - t1
     if not np.all(np.isfinite(u)):
         raise SingularSystemError("factorization produced non-finite values")
     t1 = time.perf_counter()
@@ -736,47 +816,59 @@ def solve(system: GlobalSystem) -> np.ndarray:
     if cond > COND_ALERT:
         # one inverse-iteration step: A^-1 of a generic vector leans on the
         # weakest mode, so its largest entries name the nodes that carry it
-        weak = np.abs(inverse(np.random.default_rng(0).standard_normal(n)))
-        peaks = np.argsort(weak.reshape(-1, system.dim).max(axis=1))[::-1][:3]
+        weak = np.abs(inverse(probe))
+        peaks = np.argsort(weak.reshape(-1, dim).max(axis=1))[::-1][:3]
         raise SingularSystemError(
             f"system condition estimate {cond:.2e} exceeds {COND_ALERT:.0e}; its "
             f"weakest mode peaks at nodes {peaks.tolist()} (largest first)")
-    denom = max(float(np.linalg.norm(system.rhs)), 1e-300)
-    residual = float(np.linalg.norm(mat @ u - system.rhs)) / denom
-    system.stats["t_solve"] = time.perf_counter() - t0
-    system.stats["residual"] = residual
-    system.stats["condition_estimate"] = float(cond)
-    system.stats["solver"] = {"backend": backend, "t_factor": t_factor,
-                              "t_condest": t_condest, "fill": int(fill)}
-    return u
+    denom = max(float(np.linalg.norm(rhs)), 1e-300)
+    residual = float(np.linalg.norm(mat @ u - rhs)) / denom
+    return u, residual, cond, {"precision": "double", "refine_steps": 0,
+                               "t_condest": t_condest, "fill": int(fill)}
 
 
-def _dense_lu(mat):
-    """LAPACK LU of one dense copy: (solve, condition estimate given ||A||_1, fill)."""
+def _dense_lu(mat, dtype):
+    """LAPACK LU of one dense ``dtype`` copy: (solve, condition estimate given
+    ||A||_1, fill)."""
     # the C-ordered copy's transpose is F-ordered, so LAPACK factors A^T in
-    # place and no second n x n array is made
-    lu = lu_factor(mat.toarray(order="C").T, overwrite_a=True, check_finite=False)
+    # place and no second n x n array is made; the sparse matrix is cast
+    # first, so no float64 n x n array is made for a float32 factor either
+    lu = lu_factor(mat.astype(dtype, copy=False).toarray(order="C").T,
+                   overwrite_a=True, check_finite=False)
+    gecon = lapack.get_lapack_funcs("gecon", (lu[0],))
 
     def cond(anorm):
         # kappa_1(A) = kappa_inf(A^T), and ||A^T||_inf = ||A||_1
-        rcond, _ = lapack.dgecon(lu[0], anorm, norm="I")
+        rcond, _ = gecon(lu[0], anorm, norm="I")
         return 1.0 / rcond if rcond > 0.0 else math.inf
 
-    return (lambda b: lu_solve(lu, b, trans=1, check_finite=False), cond,
-            mat.shape[0] ** 2)
+    # the right-hand side is cast to the factor's precision: a float64 one
+    # would make ``lu_solve`` copy the factor to float64
+    return (lambda b: lu_solve(lu, b.astype(dtype, copy=False), trans=1,
+                               check_finite=False), cond, mat.shape[0] ** 2)
 
 
-def _sparse_lu(mat):
-    """SuperLU factors: (solve, condition estimate given ||A||_1, fill)."""
-    lu = spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
+def _sparse_lu(mat, dtype):
+    """SuperLU factors of a ``dtype`` copy: (solve, condition estimate given
+    ||A||_1, fill)."""
+    lu = spla.splu(mat.astype(dtype, copy=False).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.1)
+
+    # SuperLU casts only safely, so a float32 factor needs float32 input
+    def inverse(b):
+        return lu.solve(b.astype(dtype, copy=False))
+
+    def transposed(b):
+        return lu.solve(b.astype(dtype, copy=False), trans="T")
 
     def cond(anorm):
-        inverse = spla.LinearOperator(mat.shape, matvec=lu.solve,
-                                      rmatvec=lambda b: lu.solve(b, trans="T"))
-        return anorm * spla.onenormest(inverse)
+        # whole blocks go through one solve each
+        op = spla.LinearOperator(mat.shape, matvec=inverse, rmatvec=transposed,
+                                 matmat=inverse, rmatmat=transposed, dtype=dtype)
+        return anorm * spla.onenormest(op)
 
     # lu.nnz counts the stored entries; lu.L and lu.U would copy the factors
-    return lu.solve, cond, lu.nnz
+    return inverse, cond, lu.nnz
 
 
 def recover_field(points, nodes, u: np.ndarray, material, m: int = 2,

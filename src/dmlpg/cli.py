@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy

@@ -46,10 +46,6 @@ def voigt_map(dim: int) -> np.ndarray:
     raise ValueError(f"unsupported dimension {dim}")
 
 
-def voigt_size(dim: int) -> int:
-    return 3 if dim == 2 else 6
-
-
 @dataclass(frozen=True)
 class MaterialModel:
     """Isotropic elastic constants plus the 2D/3D analysis mode."""

@@ -171,12 +171,6 @@ def _disk_offsets(radius: float, n_radial: int, n_angular: int, arcs: tuple):
     return rule.points, rule.weights
 
 
-def rule_ball(center, radius: float, n_radial: int, n_angular: int) -> QuadratureRule:
-    """Full-ball spherical rule."""
-    return rule_spherical(center, radius, (0.0, np.pi), (0.0, 2.0 * np.pi),
-                          n_radial, n_angular)
-
-
 def rule_spherical(center, radius: float, polar_range, azim_range,
                    n_radial: int, n_angular: int) -> QuadratureRule:
     """Spherical-coordinate rule over a ball sector (polar angle from +z)."""

@@ -102,10 +102,12 @@ def test_solve_summary_carries_solver_stats(manufactured_cfg):
     assert cli.main(["solve", "--config", str(path)]) == 0
     summary = json.loads((out / "summary.jsonl").read_text())
     solver = summary["results"]["solver"]
-    assert set(solver) == {"backend", "t_factor", "t_condest", "fill"}
+    assert set(solver) == {"backend", "precision", "refine_steps", "t_factor",
+                           "t_condest", "fill"}
     # the manufactured level-0 system is small and dense
     n_dof = 2 * summary["results"]["n_nodes"]
     assert solver["backend"] == "dense-lu"
+    assert solver["precision"] == "single" and solver["refine_steps"] >= 1
     assert solver["fill"] == n_dof * n_dof
     assert solver["t_factor"] > 0.0 and solver["t_condest"] > 0.0
     stages = summary["results"]["stages"]
@@ -162,6 +164,7 @@ def test_solve_summary_solver_times_zeroed_without_record_times(manufactured_cfg
     solver = results["solver"]
     assert solver["t_factor"] == 0.0 and solver["t_condest"] == 0.0
     assert solver["fill"] > 0
+    assert solver["precision"] == "single" and solver["refine_steps"] >= 1
     assert results["stages"] == dict.fromkeys(
         ("subdomains_s", "rows_s", "moments_s", "scatter_s"), 0.0)
 

@@ -48,7 +48,7 @@ def test_spd_for_valid_range():
 def test_traction_tensor_consistency():
     rng = np.random.default_rng(3)
     for dim in (2, 3):
-        nv = ela.voigt_size(dim)
+        nv = dim * (dim + 1) // 2
         tmap = ela.voigt_map(dim)
         mode = ela.PLANE_STRESS if dim == 2 else ela.SOLID_3D
         d = ela.elastic_matrix(ela.MaterialModel(2.3, 0.31, mode))

@@ -63,7 +63,8 @@ def test_disk_area_and_moment():
 
 
 def test_ball_volume():
-    r = quad.rule_ball([0.0, 0.0, 0.0], 1.0, 10, 10)
+    r = quad.rule_spherical([0.0, 0.0, 0.0], 1.0, (0.0, math.pi), (0.0, 2.0 * math.pi),
+                            10, 10)
     assert abs(r.total_weight - 4.0 * math.pi / 3.0) < 1e-10
 
 

@@ -1,7 +1,12 @@
-"""The solver contract on both LU paths: dense LAPACK and sparse SuperLU.
+"""The solver contract on both LU paths, dense LAPACK and sparse SuperLU, and
+under both precision policies: float32 first, refined in float64 with a
+float64 fallback (the default), and float64 only.
 
 Each path is forced by setting ``DENSE_DENSITY`` to 0 (every matrix is dense
-enough) or 2 (none is, since nnz <= n^2).
+enough) or 2 (none is, since nnz <= n^2), each policy by ``FACTOR_DTYPES``.
+The ``path`` cases are named by the backend under the default policy and by
+``<backend>-double`` under float64 only; tests without a path run both
+policies in turn.
 """
 
 import tracemalloc
@@ -9,18 +14,48 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from dmlpg import assembly as asm
 from dmlpg import benchmarks as bm
 from dmlpg import geometry as geo
 
 PATHS = {"dense-lu": 0.0, "sparse-lu": 2.0}
+POLICIES = {"single-first": (np.float32, np.float64), "double-only": (np.float64,)}
+# what a well-conditioned system is solved in under each policy
+PRECISION = {"single-first": "single", "double-only": "double"}
+CASES = {**{backend: (backend, "single-first") for backend in PATHS},
+         **{f"{backend}-double": (backend, "double-only") for backend in PATHS}}
 
 
-@pytest.fixture(params=sorted(PATHS))
+@pytest.fixture(params=sorted(CASES))
 def path(request, monkeypatch):
-    monkeypatch.setattr(asm, "DENSE_DENSITY", PATHS[request.param])
-    return request.param
+    backend, policy = CASES[request.param]
+    monkeypatch.setattr(asm, "DENSE_DENSITY", PATHS[backend])
+    monkeypatch.setattr(asm, "FACTOR_DTYPES", POLICIES[policy])
+    return backend
+
+
+def _single_first():
+    return np.float32 in asm.FACTOR_DTYPES
+
+
+@pytest.fixture
+def single_attempts(monkeypatch):
+    """Outcomes of the single-precision attempts of ``solve``; None is a fallback."""
+    outcomes = []
+    real = asm._refined_solve
+
+    def spy(*args):
+        outcomes.append(real(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(asm, "_refined_solve", spy)
+    return outcomes
+
+
+def _fell_back(outcomes):
+    return outcomes == ([None] if _single_first() else [])
 
 
 def _beam(**config):
@@ -59,19 +94,21 @@ def test_patch_2d_squares_on_both_paths(path, method, degree):
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_paths_agree(name, monkeypatch):
     system = SYSTEMS[name]()
-    solutions = {}
-    for backend, density in PATHS.items():
-        monkeypatch.setattr(asm, "DENSE_DENSITY", density)
-        solutions[backend] = asm.solve(system)
-        stats = system.stats
-        assert stats["solver"]["backend"] == backend
-        assert stats["residual"] < 1e-10
-        assert 1.0 < stats["condition_estimate"] < asm.COND_ALERT
-        if backend == "dense-lu":
-            assert stats["solver"]["fill"] == system.matrix.shape[0] ** 2
-        else:
-            assert stats["solver"]["fill"] >= system.matrix.nnz
-    assert _rel(solutions["dense-lu"], solutions["sparse-lu"]) <= 1e-10
+    for dtypes in POLICIES.values():
+        monkeypatch.setattr(asm, "FACTOR_DTYPES", dtypes)
+        solutions = {}
+        for backend, density in PATHS.items():
+            monkeypatch.setattr(asm, "DENSE_DENSITY", density)
+            solutions[backend] = asm.solve(system)
+            stats = system.stats
+            assert stats["solver"]["backend"] == backend
+            assert stats["residual"] < 1e-10
+            assert 1.0 < stats["condition_estimate"] < asm.COND_ALERT
+            if backend == "dense-lu":
+                assert stats["solver"]["fill"] == system.matrix.shape[0] ** 2
+            else:
+                assert stats["solver"]["fill"] >= system.matrix.nnz
+        assert _rel(solutions["dense-lu"], solutions["sparse-lu"]) <= 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -83,18 +120,51 @@ def test_scale_rows_leaves_solution_unchanged(path, name):
     assert _rel(scaled, plain) <= 1e-8
 
 
-def test_duplicated_node_raises_on_both_paths(path):
+def _extended_reference(system):
+    """The float64 solution refined with residuals in extended precision, so
+    its error is at rounding level, below that of either unrefined LU."""
+    wide = system.matrix.astype(np.longdouble)
+    lu = spla.splu(system.matrix.tocsc())
+    u = lu.solve(system.rhs)
+    for _ in range(3):
+        u = u + lu.solve((system.rhs - wide @ u.astype(np.longdouble)).astype(float))
+    return u
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_single_precision_is_accepted_and_as_accurate_as_double(path, name, monkeypatch):
+    system = SYSTEMS[name]()
+    u = asm.solve(system)
+    solver, cond = system.stats["solver"], system.stats["condition_estimate"]
+    assert system.stats["residual"] < 1e-12
+    if _single_first():
+        assert solver["precision"] == "single"
+        assert 1 <= solver["refine_steps"] < asm.REFINE_STEPS   # stopped at the floor
+    else:
+        assert solver["precision"] == "double" and solver["refine_steps"] == 0
+    monkeypatch.setattr(asm, "FACTOR_DTYPES", (np.float64,))
+    double = asm.solve(system)
+    assert cond == pytest.approx(system.stats["condition_estimate"], rel=0.1)
+    # the unrefined sparse float64 solve of the beam is itself 4e-12 off, so
+    # both are measured against the extended reference
+    reference = _extended_reference(system)
+    assert _rel(u, reference) <= max(1e-12, _rel(double, reference))
+
+
+def test_duplicated_node_raises_on_both_paths(path, single_attempts):
     problem = bm.BeamProblem()
     base = geo.generate_beam_nodes(9, 5, 8.0, 1.0)
     take = np.append(np.arange(base.n), 40)
     nodes = geo.NodeSet(base.points[take], base.tags[take], base.masks[take],
                         base.spacing[take], base.support[take], base.mesh_size)
     system = asm.assemble(nodes, problem, "dmlpg1", asm.SolverConfig())
+    # float32 SuperLU refines b alone to 5e-13 here; the probe column stalls
     with pytest.raises(asm.SingularSystemError):
         asm.solve(system)
+    assert _fell_back(single_attempts)
 
 
-def test_condition_alert_names_the_weak_node_on_both_paths(path):
+def test_condition_alert_names_the_weak_node_on_both_paths(path, single_attempts):
     # hole node 96 of the coarsest plate moved 1e-7 outward: the size policy
     # gives it a sliver box (about 3e-6 of its spacing) and a near-null row
     problem = bm.PlateProblem()
@@ -107,9 +177,19 @@ def test_condition_alert_names_the_weak_node_on_both_paths(path):
     with pytest.raises(asm.SingularSystemError,
                        match=r"exceeds 1e\+14; its weakest mode peaks at nodes \[96, "):
         asm.solve(system)
+    assert _fell_back(single_attempts)
 
 
-def test_zeroed_row_raises_on_both_paths(path):
+def test_condition_alert_is_raised_by_the_double_path(path, single_attempts, monkeypatch):
+    # refinement certifies the plate's float32 solution; only the alert,
+    # lowered below its condition estimate (4.5e4), rejects it
+    monkeypatch.setattr(asm, "COND_ALERT", 1e3)
+    with pytest.raises(asm.SingularSystemError, match=r"estimate 4\.48e\+04 exceeds 1e\+03"):
+        asm.solve(_plate())
+    assert _fell_back(single_attempts)
+
+
+def test_zeroed_row_raises_on_both_paths(path, single_attempts):
     system = _beam()
     keep = np.ones(system.matrix.shape[0])
     keep[101] = 0.0
@@ -117,40 +197,71 @@ def test_zeroed_row_raises_on_both_paths(path):
     system.matrix.eliminate_zeros()
     with pytest.raises(asm.SingularSystemError, match=path):
         asm.solve(system)
+    assert _fell_back(single_attempts)
 
 
-def test_non_finite_matrix_raises():
+def test_non_finite_matrix_raises(monkeypatch):
     system = _beam()
     system.matrix.data[7] = np.nan
-    with pytest.raises(asm.SingularSystemError, match="non-finite"):
-        asm.solve(system)
+    for dtypes in POLICIES.values():
+        monkeypatch.setattr(asm, "FACTOR_DTYPES", dtypes)
+        with pytest.raises(asm.SingularSystemError, match="non-finite"):
+            asm.solve(system)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_dense_path_holds_one_dense_copy(monkeypatch):
     monkeypatch.setattr(asm, "DENSE_DENSITY", 0.0)
     system = _plate()
     n = system.matrix.shape[0]
-    tracemalloc.start()
-    try:
-        asm.solve(system)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # the float32 copy is cast from the sparse matrix, never from a float64 one
+    for policy, dtypes in POLICIES.items():
+        monkeypatch.setattr(asm, "FACTOR_DTYPES", dtypes)
+        peak = _peak_bytes(asm.solve, system)
+        assert system.stats["solver"]["precision"] == PRECISION[policy]
+        size = 4 if policy == "single-first" else 8
+        assert n * n * size <= peak < 1.5 * n * n * size, policy
+
+
+def test_dense_fallback_frees_the_single_copy_first(monkeypatch):
+    # no refinement reaches a zero residual, so the float32 factor is dropped
+    monkeypatch.setattr(asm, "REFINE_TOL", 0.0)
+    monkeypatch.setattr(asm, "DENSE_DENSITY", 0.0)
+    system = _plate()
+    n = system.matrix.shape[0]
+    peak = _peak_bytes(asm.solve, system)
+    assert system.stats["solver"]["precision"] == "double"
     assert n * n * 8 <= peak < 1.5 * n * n * 8
 
 
-def test_density_selects_the_path():
+def _solve_under_each_policy(system, monkeypatch):
+    for policy, dtypes in POLICIES.items():
+        monkeypatch.setattr(asm, "FACTOR_DTYPES", dtypes)
+        asm.solve(system)
+        assert system.stats["solver"]["precision"] == PRECISION[policy]
+
+
+def test_density_selects_the_path(monkeypatch):
     shell = bm.BoussinesqProblem()
     system = asm.assemble(bm.boussinesq_level_factory(shell, target=800)(0)[1], shell,
                           "dmlpg5", asm.SolverConfig())
-    asm.solve(system)
+    _solve_under_each_policy(system, monkeypatch)
     assert system.stats["solver"]["backend"] == "dense-lu"
     assert system.stats["solver"]["fill"] == system.matrix.shape[0] ** 2
-    # beam 129x17 is about 1.8% dense; smaller beams are above 5%
+    # beam 129x17 is about 1.8% dense; smaller beams are above 5%.  Its
+    # condition (5e7) is above 1/eps_single, yet refinement certifies it
     beam = bm.BeamProblem()
     system = asm.assemble(bm.beam_level_factory(beam)(2)[1], beam, "dmlpg1",
                           asm.SolverConfig(shape="ball"))
-    asm.solve(system)
+    _solve_under_each_policy(system, monkeypatch)
     assert system.matrix.nnz < asm.DENSE_DENSITY * system.matrix.shape[0] ** 2
     solver = system.stats["solver"]
     assert solver["backend"] == "sparse-lu"
