@@ -6,10 +6,10 @@ scatters the global matrix and collects errors and stats.  The methods
 differ only in the row kernel that turns a local weak form into matrix
 entries.  A direct row is a d x (d*Q) functional matrix: the local weak form
 applied to the shifted polynomial basis, integrated over polynomials only,
-cached across subdomains with identical signatures, and turned into entries
-by the generalized moving least squares fit at the node.  A classical row
-(``mlpg``) integrates MLS shape-function derivatives at quadrature points and
-gives the entries directly.  Essential boundary conditions are collocation
+built once per key (nodes with equal subdomains about them share one), and
+turned into entries by the generalized moving least squares fit at the node.
+A classical row (``mlpg``) integrates MLS shape-function derivatives at
+quadrature points and gives the entries directly.  Essential boundary conditions are collocation
 rows; mixed nodes replace only their prescribed component rows.
 """
 
@@ -164,40 +164,8 @@ class FunctionalRow:
     node: int
     lam: np.ndarray             # (Q, d, d) or (len(active), d, d)
     beta: np.ndarray            # (d,)
-    cache_key: tuple | None = None
     active: np.ndarray | None = None
     shape_evals: int = 0        # points where shape functions were evaluated
-
-
-class LambdaCache:
-    """Cache of functional matrices keyed by subdomain signature."""
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._store: dict = {}
-        self.hit_counts: dict = {}
-        self.misses = 0
-
-    @property
-    def hits(self) -> int:
-        return sum(self.hit_counts.values())
-
-    def get_or_build(self, key, build):
-        if not self.enabled:
-            return build()
-        value = self._store.get(key)
-        if value is None:
-            value = build()
-            self._store[key] = value
-            self.misses += 1
-        else:
-            self.hit_counts[key] = self.hit_counts.get(key, 0) + 1
-        return value
-
-    def record_hits(self, key, count: int) -> None:
-        """Count ``count`` hits on ``key`` served without a lookup."""
-        if count:
-            self.hit_counts[key] = self.hit_counts.get(key, 0) + count
 
 
 def _interior_rule(sub: Subdomain, config: SolverConfig):
@@ -282,14 +250,17 @@ def boundary_operator(sub: Subdomain, dmat, tmap, rule_of):
 
 
 def _beta(sub: Subdomain, problem, config: SolverConfig, survivors,
-          test=None) -> np.ndarray:
+          test=None, tractions=None) -> np.ndarray:
     """Right-hand side of the local weak form.
 
     With the equilibrium convention div(sigma) + b = 0, integrating by parts
     leaves -int(b v) - int(tbar v) over the prescribed-traction pieces.
     ``test=None`` means the constant test function of the boundary variant.
+    ``tractions`` stacks tbar at the points of those pieces' rules, in piece
+    order; None evaluates ``problem.traction`` here, piece by piece.
     """
     d = sub.center.size
+    start = 0
     beta = np.zeros(d)
     if getattr(problem, "body", None) is not None:
         rule = _interior_rule(sub, config)
@@ -307,33 +278,33 @@ def _beta(sub: Subdomain, problem, config: SolverConfig, survivors,
             continue
         rule = _piece_rule(piece, sub, config, traction=True)
         v = test.values(rule.points) if test is not None else np.ones(rule.points.shape[0])
-        tbar = problem.traction(rule.points, rule.normals)
+        tbar = (problem.traction(rule.points, rule.normals) if tractions is None
+                else tractions[start:start + rule.weights.size])
+        start += rule.weights.size
         beta[known] -= np.einsum("q,qi->i", rule.weights * v, tbar)[known]
     return beta
 
 
 def dmlpg1_row(node: int, sub: Subdomain, problem, config: SolverConfig,
-               scale: float, survivors, cache: LambdaCache) -> FunctionalRow:
-    """Volume-integrated functional row (vanishing test trace on the subdomain rim)."""
-    basis = mls.PolyBasis(config.m, sub.center.size, sub.center, scale)
-    dmat = ela.elastic_matrix(problem.material)
-    key = ("dmlpg1", config.m, config.test_degree, scale, sub.signature)
-    lam = cache.get_or_build(
-        key, lambda: _lambda_volume(sub, basis, dmat, config))
-    beta = _beta(sub, problem, config, survivors, test=test_function(sub, config))
-    return FunctionalRow(node, lam, beta, cache_key=key)
+               scale: float, survivors, lam=None, tractions=None) -> FunctionalRow:
+    """Volume-integrated functional row (vanishing test trace on the subdomain
+    rim); ``lam`` is the functional when it is known, else it is built."""
+    if lam is None:
+        basis = mls.PolyBasis(config.m, sub.center.size, sub.center, scale)
+        lam = _lambda_volume(sub, basis, ela.elastic_matrix(problem.material), config)
+    beta = _beta(sub, problem, config, survivors, test=test_function(sub, config),
+                 tractions=tractions)
+    return FunctionalRow(node, lam, beta)
 
 
 def dmlpg5_row(node: int, sub: Subdomain, problem, config: SolverConfig,
-               scale: float, survivors, cache: LambdaCache) -> FunctionalRow:
-    """Boundary-integrated functional row (unit test function)."""
-    basis = mls.PolyBasis(config.m, sub.center.size, sub.center, scale)
-    dmat = ela.elastic_matrix(problem.material)
-    key = ("dmlpg5", config.m, scale, sub.signature)
-    lam = cache.get_or_build(
-        key, lambda: _lambda_boundary(sub, basis, dmat, config))
-    beta = _beta(sub, problem, config, survivors, test=None)
-    return FunctionalRow(node, lam, beta, cache_key=key)
+               scale: float, survivors, lam=None, tractions=None) -> FunctionalRow:
+    """Boundary-integrated row (unit test function); ``lam`` as in ``dmlpg1_row``."""
+    if lam is None:
+        basis = mls.PolyBasis(config.m, sub.center.size, sub.center, scale)
+        lam = _lambda_boundary(sub, basis, ela.elastic_matrix(problem.material), config)
+    beta = _beta(sub, problem, config, survivors, test=None, tractions=tractions)
+    return FunctionalRow(node, lam, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +332,8 @@ class SubdomainPlan:
     them, and for a ball those of its bound box (side 2r).  ``faces`` marks the (low, high) bound
     planes of each axis that clip a subdomain: a box face moved onto one, or
     a plane through a ball's centre.  ``whole`` marks the subdomains their
-    builder does not clip.
+    builder does not clip, and ``curved`` the nodes on a curve, whose disk or
+    ball the curve clips.
     """
 
     shape: np.ndarray           # (n,) str
@@ -370,6 +342,7 @@ class SubdomainPlan:
     lo: np.ndarray              # (n, d)
     hi: np.ndarray              # (n, d)
     faces: np.ndarray           # (n, 2, d) bool
+    curved: np.ndarray          # (n,) bool
 
 
 def plan_subdomains(points, spacing, geometry, config: SolverConfig) -> SubdomainPlan:
@@ -399,7 +372,7 @@ def plan_subdomains(points, spacing, geometry, config: SolverConfig) -> Subdomai
     gaps = np.column_stack([lo_gap, hi_gap, *(gap for _, gap in curves)])
     whole = np.where(ball, np.all((gaps > tol[:, None]) & (gaps >= (size - tol)[:, None]), axis=1),
                      ~faces.any(axis=(1, 2)) & ~crosses)
-    return SubdomainPlan(np.where(ball, "ball", "box"), size, whole, lo, hi, faces)
+    return SubdomainPlan(np.where(ball, "ball", "box"), size, whole, lo, hi, faces, curved)
 
 
 def subdomain_for_node(k: int, nodes, geometry, config: SolverConfig) -> Subdomain:
@@ -409,25 +382,30 @@ def subdomain_for_node(k: int, nodes, geometry, config: SolverConfig) -> Subdoma
     return build_subdomain(nodes.points[k], plan.shape[0], plan.size[0], geometry)
 
 
-def _signature_groups(plan: SubdomainPlan, nodes, candidates) -> dict:
-    """The candidates with whole subdomains, grouped by cache key.
+def _functional_keys(plan: SubdomainPlan, nodes, weak, shared: bool) -> np.ndarray:
+    """Each node's key: the lowest-index weak node whose functional it shares.
 
-    Within one assembly a key varies only in the support radius (the basis
-    scale) and the signature.  Returns {lowest index: the group's nodes,
-    ascending}.
-    """
-    k = candidates[plan.whole[candidates]]
-    if not k.size:
-        return {}
-    ball = plan.shape[k] == "ball"
-    # a whole box's signature is its extent about the node, a ball's its radius
-    extent = np.column_stack([plan.lo[k] - nodes.points[k], plan.hi[k] - nodes.points[k]])
-    keys = np.column_stack([ball, nodes.support[k],
-                            np.where(ball[:, None], plan.size[k, None], extent)])
-    order = np.lexsort(keys.T)          # stable: ascending node order in a group
-    keys = keys[order]
-    starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
-    return {int(g[0]): g for g in np.split(k[order], starts)}
+    A direct functional depends only on the support radius (the basis scale)
+    and the subdomain about its node.  With ``shared`` one sort of the
+    ``weak`` nodes by the plan finds the equal ones: shape, support, a box's
+    extent about the node or a ball's radius, and clipped faces.  Any other
+    node, a curve-clipped one included, is its own key."""
+    keys = np.arange(nodes.n)
+    if not shared or not weak.size:
+        return keys
+    ball = plan.shape[weak] == "ball"
+    x = nodes.points[weak]
+    extent = np.column_stack([plan.lo[weak] - x, plan.hi[weak] - x])
+    columns = np.column_stack([ball, nodes.support[weak],
+                               np.where(ball[:, None], plan.size[weak, None], extent),
+                               plan.faces[weak].reshape(weak.size, -1),
+                               np.where(plan.curved[weak], weak, -1)])
+    order = np.lexsort(columns.T)       # stable: ascending node order within a key
+    columns = columns[order]
+    first = np.r_[True, np.any(columns[1:] != columns[:-1], axis=1)]
+    members = weak[order]
+    keys[members] = members[first][np.cumsum(first) - 1]
+    return keys
 
 
 # The node loop builds rows in batches that share one ``problem.traction``
@@ -435,31 +413,6 @@ def _signature_groups(plan: SubdomainPlan, nodes, candidates) -> dict:
 # BATCH_NODES subdomains, so the pending subdomains stay few
 TRACTION_BUDGET = 4096
 BATCH_NODES = 64
-
-
-class _StackedTraction:
-    """``problem`` whose ``traction`` is served from one stacked evaluation.
-
-    ``problem.traction`` runs once on the points of ``rules``.  A later call
-    with one of those rules' ``points`` arrays returns its slice of the
-    result; any other call goes to ``problem.traction``.
-    """
-
-    def __init__(self, problem, rules):
-        self._problem = problem
-        self._slices = {}
-        if rules:
-            tbar = problem.traction(np.concatenate([r.points for r in rules]),
-                                    np.concatenate([r.normals for r in rules]))
-            bounds = np.cumsum([r.weights.size for r in rules])[:-1]
-            self._slices = {id(r.points): t for r, t in zip(rules, np.split(tbar, bounds))}
-
-    def __getattr__(self, name):
-        return getattr(self._problem, name)
-
-    def traction(self, points, normals):
-        tbar = self._slices.get(id(points))
-        return self._problem.traction(points, normals) if tbar is None else tbar
 
 
 class StageTimer:
@@ -498,76 +451,72 @@ def assemble(nodes, problem, method: str = "dmlpg1",
     if method not in ("dmlpg1", "dmlpg5"):
         raise ValueError(f"unknown direct method {method!r}")
     row_builder = dmlpg1_row if method == "dmlpg1" else dmlpg5_row
-    return _assemble(nodes, problem, method, config, partial(_node_rows, row_builder),
+    return _assemble(nodes, problem, method, config, partial(_node_rows, row_builder, {}),
                      centred=True)
 
 
-def _node_rows(row_builder, nodes, batch, problem, config, cache, counts) -> list:
-    """The row kernel of a direct method: ``row_builder`` node by node."""
+def _node_rows(row_builder, lambdas, nodes, batch, problem, config, counts) -> list:
+    """The row kernel of a direct method: ``row_builder`` node by node.  A row
+    takes its key's functional from ``lambdas``, or builds and stores it."""
     rows = []
-    for k, sub in batch:
+    for k, key, sub, tractions in batch:
         try:
-            rows.append(row_builder(k, sub, problem, config, float(nodes.support[k]),
-                                    ~nodes.masks[k], cache))
+            row = row_builder(k, sub, problem, config, float(nodes.support[k]),
+                              ~nodes.masks[k], lambdas.get(key), tractions)
+            lambdas.setdefault(key, row.lam)
         except (UnsupportedClipError, mls.NodeDeficiencyError) as err:
-            rows.append(err)
+            row = err
+        rows.append(row)
     return rows
 
 
-def _weak_rows(nodes, problem, config: SolverConfig, weak_rows, grouped: bool,
-               cache: LambdaCache, stage: StageTimer, counts: dict):
+def _weak_rows(nodes, problem, config: SolverConfig, weak_rows, shared: bool,
+               stage: StageTimer, counts: dict):
     """The weak rows of the node loop.  The row kernel ``weak_rows(nodes,
-    batch, problem, config, cache, counts)`` maps a batch of ``(node,
-    subdomain)`` pairs to each node's ``FunctionalRow`` or error.
+    batch, problem, config, counts)`` maps a batch of ``(node, key,
+    subdomain, tractions)`` to each node's ``FunctionalRow`` or error.
 
-    ``plan_subdomains`` sizes every subdomain in one pass.  When ``grouped``
-    (the direct methods with the cache on and no body force), the nodes
-    whose subdomains no boundary clips are grouped by cache key: the
-    lowest-index node of each group builds its subdomain and row, and the
-    others take its functional and a zero right-hand side.  Every other weak
-    node builds its own.  Rows are built in node order, in batches that
-    share one ``problem.traction`` call (``TRACTION_BUDGET``, ``BATCH_NODES``).
+    ``plan_subdomains`` sizes every subdomain in one pass and
+    ``_functional_keys`` keys it (``shared``: the direct methods with the
+    cache on).  A node builds its subdomain and row when it is the first node
+    of its key, its subdomain is not whole, or there is a body force; any
+    other node takes its key's functional and a zero right-hand side.  Rows
+    are built in node order, in batches that share one ``problem.traction``
+    call (``TRACTION_BUDGET``, ``BATCH_NODES``), of which ``tractions`` is
+    the node's slice.
 
     Returns the node-centred functionals (n, d, d, Q), the right-hand side,
     the explicit ``(node, active, blocks)`` rows of the classical kernels,
     each built row's shape-evaluation count, the failures {node: error} and
-    ``stats["groups"]``: the groups, the nodes they serve and the subdomains
-    built.
+    the stats: ``cache_misses`` (the keys, 0 without ``shared``),
+    ``cache_hits`` and ``cache_hit_counts`` (a key's other nodes, in total
+    and per first node) and ``groups`` (the subdomains built).
     """
     d = nodes.dim
     functionals = np.zeros((nodes.n, d, d, mls.basis_size(config.m, d)))
     rhs = np.zeros(nodes.n * d)
-    evals, explicit = [], []
-    failures = {}
+    evals, explicit, failures = [], [], {}
     weak = np.flatnonzero(nodes.tags != DIRICHLET)
     with stage("subdomains_s"):
         plan = plan_subdomains(nodes.points, nodes.spacing, problem.geometry, config)
-        groups = _signature_groups(plan, nodes, weak) if grouped else {}
-    served = np.zeros(nodes.n, dtype=bool)      # nodes a group's first node serves
-    for members in groups.values():
-        served[members[1:]] = True
-    built = weak[~served[weak]]
-    grouping = {"groups": len(groups),
-                "grouped_nodes": int(sum(g.size for g in groups.values())),
-                "subdomains_built": int(built.size)}
+        keys = _functional_keys(plan, nodes, weak, shared)
+    body = getattr(problem, "body", None) is not None
+    build = (keys[weak] == weak) | ~plan.whole[weak] | body
+    built, served = weak[build], weak[~build]
+    # the functional and subdomain measure of each key that serves a node
+    serving, inverse = np.unique(keys[served], return_inverse=True)
+    firsts = dict.fromkeys(serving.tolist())
 
-    def serve_group(members, row, sub):
-        """The rows of a group's other nodes from its first node's ``row``."""
-        cache.record_hits(row.cache_key, len(members))
-        measures = np.ones(len(members))
-        if config.scale_rows:       # as the builders form them
-            measures = (np.full(len(members), sub.measure) if sub.shape == "ball"
-                        else np.prod(plan.hi[members] - plan.lo[members], axis=1))
-        block = row.lam.transpose(1, 2, 0)[None] / measures[:, None, None, None]
-        block[nodes.masks[members]] = 0.0
-        functionals[members] = block      # the right-hand sides stay zero
-
-    def build_rows(batch, rules):
-        rows = weak_rows(nodes, batch, _StackedTraction(problem, rules), config, cache,
-                         counts)
-        for (k, sub), row in zip(batch, rows):
+    def build_rows(pending, rules):
+        tbar = np.empty((0, d))
+        if rules:
+            tbar = problem.traction(np.concatenate([r.points for r in rules]),
+                                    np.concatenate([r.normals for r in rules]))
+        batch = [(k, key, sub, tbar[span]) for k, key, sub, span in pending]
+        for (k, _, sub, _), row in zip(batch, weak_rows(nodes, batch, problem, config,
+                                                        counts)):
             if isinstance(row, Exception):
-                failures.update(dict.fromkeys(map(int, groups.get(k, [k])), row))
+                failures[k] = row
                 continue
             evals.append(row.shape_evals)
             measure = sub.measure if config.scale_rows else 1.0
@@ -578,10 +527,10 @@ def _weak_rows(nodes, problem, config: SolverConfig, weak_rows, grouped: bool,
             else:
                 explicit.append((k, row.active, lam))
             rhs[d * k: d * k + d] = row.beta / measure
-            if k in groups:
-                serve_group(groups[k][1:], row, sub)
+            if k in firsts:
+                firsts[k] = row.lam, sub.measure
 
-    batch, rules, points = [], [], 0
+    pending, rules, points = [], [], 0
     for k in built.tolist():
         with stage("subdomains_s"):
             try:
@@ -590,18 +539,37 @@ def _weak_rows(nodes, problem, config: SolverConfig, weak_rows, grouped: bool,
             except UnsupportedClipError as err:
                 failures[k] = err
                 continue
-            batch.append((k, sub))
+            start = points
             for piece in sub.pieces:
                 if piece.on_gamma and any(piece.traction_known):
                     rules.append(_piece_rule(piece, sub, config, traction=True))
                     points += rules[-1].weights.size
-        if points >= TRACTION_BUDGET or len(batch) >= BATCH_NODES:
+            pending.append((k, int(keys[k]), sub, slice(start, points)))
+        if points >= TRACTION_BUDGET or len(pending) >= BATCH_NODES:
             with stage("rows_s"):
-                build_rows(batch, rules)
-            batch, rules, points = [], [], 0
+                build_rows(pending, rules)
+            pending, rules, points = [], [], 0
     with stage("rows_s"):
-        build_rows(batch, rules)
-    return functionals, rhs, explicit, evals, failures, grouping
+        build_rows(pending, rules)
+        if failures:        # a key whose first node failed fails its other nodes
+            failures.update((k, failures[int(keys[k])]) for k in served.tolist()
+                            if int(keys[k]) in failures)
+        elif served.size:
+            # the other nodes of a key take its functional (the right-hand
+            # sides stay zero), scaled by the measures as the builders form them
+            lam, measure = zip(*firsts.values())
+            block = np.stack(lam).transpose(0, 2, 3, 1)[inverse]
+            if config.scale_rows:
+                measures = np.where(plan.shape[served] == "ball", np.array(measure)[inverse],
+                                    np.prod(plan.hi[served] - plan.lo[served], axis=1))
+                block = block / measures[:, None, None, None]
+            block[nodes.masks[served]] = 0.0
+            functionals[served] = block
+    heads, members = np.unique(keys[weak], return_counts=True)
+    hit_counts = {int(h): int(c) - 1 for h, c in zip(heads, members) if c > 1}
+    return functionals, rhs, explicit, evals, failures, {
+        "cache_hits": sum(hit_counts.values()), "cache_misses": int(heads.size) if shared else 0,
+        "cache_hit_counts": hit_counts, "groups": {"subdomains_built": int(built.size)}}
 
 
 def _assemble(nodes, problem, method: str, config: SolverConfig, weak_rows,
@@ -610,7 +578,8 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_rows,
 
     Dirichlet nodes become collocation block rows, mixed nodes keep weak rows
     only for their unprescribed components, and all remaining nodes
-    contribute pure weak-form rows (``_weak_rows``).  A prescribed component
+    contribute pure weak-form rows (``_weak_rows``), one functional per key
+    from the subdomain plan in the direct methods.  A prescribed component
     i is the functional e_0 (the value at the node) on the diagonal block
     (i, i) of the basis centred at the node.  One batched GMLS solve
     (``mls.gmls_batch``) turns the node-centred functionals into matrix
@@ -622,13 +591,11 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_rows,
     time spent on subdomains, weak rows, moment systems and the scatter.
     """
     d = nodes.dim
-    cache = LambdaCache(enabled=config.cache)
     stage = StageTimer("subdomains_s", "rows_s", "moments_s", "scatter_s")
     t0 = time.perf_counter()
     classical = Counter(chunks=0, pairs=0, padded_pairs=0)
-    grouped = centred and config.cache and getattr(problem, "body", None) is None
-    functionals, rhs, explicit, evals, failures, grouping = _weak_rows(
-        nodes, problem, config, weak_rows, grouped, cache, stage, classical)
+    functionals, rhs, explicit, evals, failures, keyed = _weak_rows(
+        nodes, problem, config, weak_rows, centred and config.cache, stage, classical)
     prescribed = np.flatnonzero(nodes.masks.any(axis=1))
     ubar = problem.dirichlet(nodes.points[prescribed])
     owner, comp = np.nonzero(nodes.masks[prescribed])
@@ -660,14 +627,11 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_rows,
         "t_assemble": time.perf_counter() - t0,
         "shape_evals": sum(evals),
         "min_evals_per_subdomain": min(evals, default=0),
-        "cache_hits": cache.hits,
-        "cache_misses": cache.misses,
-        "cache_hit_counts": dict(cache.hit_counts),
+        **keyed,
         "moment_cond": {"min": float(cond.min(initial=math.inf)),
                         "median": float(np.median(cond)) if cond.size else math.nan,
                         "max": float(cond.max(initial=0.0))},
         "stages": stage.totals,
-        "groups": grouping,
         "classical": classical,
         "method": method,
     }

@@ -23,9 +23,6 @@ DIRICHLET = 1
 NEUMANN = 2
 MIXED = 3
 
-_TAG_NAMES = {INTERIOR: "interior", DIRICHLET: "dirichlet",
-              NEUMANN: "neumann", MIXED: "mixed"}
-
 _GEOM_TOL = 1e-12
 
 
@@ -385,7 +382,6 @@ class Subdomain:
     size: float                 # side length (box) or radius (ball)
     pieces: list
     measure: float
-    signature: tuple
     bounding_radius: float
     curved_clip: bool = False
     _interior_builder: object = field(default=None, repr=False)
@@ -393,10 +389,6 @@ class Subdomain:
     def interior_rule(self, n: int) -> quad.QuadratureRule:
         """Interior rule; ``n`` is points per axis (box) or per direction (ball)."""
         return self._interior_builder(n)
-
-
-def _canon(v: float) -> float:
-    return 0.0 if v == 0.0 else float(v)
 
 
 def _norm(v):
@@ -500,14 +492,10 @@ def _build_box_subdomain(center, size, geometry) -> Subdomain:
                 _builder=(lambda n, lo=lo.copy(), hi=hi.copy(), axis=axis, side=side:
                           quad.rule_box_face(lo, hi, axis, side, n)),
             ))
-    rel_lo = tuple(_canon(v) for v in (lo - center))
-    rel_hi = tuple(_canon(v) for v in (hi - center))
     reach = np.maximum(np.abs(lo - center), np.abs(hi - center))
     return Subdomain(
         center=center, shape="box", size=size, pieces=pieces,
         measure=float(np.prod(hi - lo)),
-        signature=("box", rel_lo, rel_hi,
-                   tuple((p.on_gamma, p.traction_known) for p in pieces)),
         bounding_radius=float(np.linalg.norm(reach)),
         _interior_builder=(lambda n, lo=lo.copy(), hi=hi.copy():
                            quad.rule_box(lo, hi, n)),
@@ -566,7 +554,6 @@ def _build_disk_subdomain(center, radius, geometry) -> Subdomain:
     segments = []          # (th0, th1, rlo_fn): interior radial sections
     if hole is None:
         segments = [(a, b, zero) for a, b in kept]
-        sig_clips = tuple(sorted(("plane", a, s) for a, s in plane_clips))
     else:
         _, ocenter, oradius, _ = hole
         outward = center - ocenter
@@ -578,9 +565,6 @@ def _build_disk_subdomain(center, radius, geometry) -> Subdomain:
                (theta_out - psi, theta_out - 0.5 * math.pi, t_c)]
         for lo, hi, rlo in raw:
             segments.extend((a, b, rlo) for a, b in intersect_all(kept, lo, hi))
-        rel = tuple(_canon(v) for v in (ocenter - center))
-        sig_clips = tuple(sorted(("plane", a, s) for a, s in plane_clips)) + (
-            ("hole", rel, oradius),)
     segments.sort(key=lambda s: s[0])
 
     pieces = []
@@ -656,7 +640,6 @@ def _build_disk_subdomain(center, radius, geometry) -> Subdomain:
     return Subdomain(
         center=center, shape="ball", size=radius, pieces=pieces,
         measure=measure,
-        signature=("ball", radius, sig_clips),
         bounding_radius=radius,
         curved_clip=hole is not None,
         _interior_builder=interior,
@@ -716,7 +699,6 @@ def _build_ball_subdomain(center, radius, geometry) -> Subdomain:
     return Subdomain(
         center=center, shape="ball", size=radius, pieces=pieces,
         measure=measure,
-        signature=("ball", radius, tuple(sorted(("plane", a, -1) for a in clips))),
         bounding_radius=radius,
         _interior_builder=(lambda n, c=center.copy(), r=radius, p=polar, a=azim:
                            quad.rule_spherical(c, r, p, a, n, n)),

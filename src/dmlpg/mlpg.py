@@ -130,13 +130,28 @@ def assemble_mlpg(nodes, problem, variant: str = "mlpg1",
                      centred=False)
 
 
-def _classical_rows(variant, nodes, batch, problem, config, cache, counts) -> list:
+def _chunks(npts, nuni) -> list:
+    """A batch's subdomains in chunks: sorted by rule size, then union size,
+    and cut greedily in that order.  A chunk takes the next subdomain while
+    its padded pairs (subdomains x largest rule x largest union) stay within
+    ``PAIR_BUDGET``, and holds at least one."""
+    order = np.lexsort((nuni, npts))
+    chunks, start, most_p, most_u = [], 0, 0, 0
+    for i, (p, u) in enumerate(zip(npts[order].tolist(), nuni[order].tolist())):
+        most_p, most_u = max(most_p, p), max(most_u, u)
+        if i > start and (i + 1 - start) * most_p * most_u > PAIR_BUDGET:
+            chunks.append(order[start:i])
+            start, most_p, most_u = i, p, u
+    return chunks + [order[start:]]
+
+
+def _classical_rows(variant, nodes, batch, problem, config, counts) -> list:
     """Each node's ``FunctionalRow`` (or error) against its union set.  A point
     within the bounding radius R of the centre has its nearest node within 2R,
     so the union reaches the largest support found there beyond R."""
     d, tmap, dmat = nodes.dim, ela.voigt_map(nodes.dim), ela.elastic_matrix(problem.material)
     rows, ready = [None] * len(batch), []
-    for slot, (k, sub) in enumerate(batch):
+    for slot, (k, _, sub, tractions) in enumerate(batch):
         try:
             if variant == "mlpg1":
                 rule = sub.interior_rule(config.quad_mlpg)
@@ -147,7 +162,7 @@ def _classical_rows(variant, nodes, batch, problem, config, cache, counts) -> li
                 test = None
                 points, op = boundary_operator(sub, dmat, tmap,
                                                lambda piece: piece.rule(config.quad_mlpg))
-            beta = _beta(sub, problem, config, ~nodes.masks[k], test=test)
+            beta = _beta(sub, problem, config, ~nodes.masks[k], test=test, tractions=tractions)
         except UnsupportedClipError as err:
             rows[slot] = err
             continue
@@ -165,8 +180,7 @@ def _classical_rows(variant, nodes, batch, problem, config, cache, counts) -> li
     points, ops = np.concatenate(points), np.concatenate(ops)
     deltas = nodes.support[nodes.index.nearest_batch(points)]
 
-    size = max(1, PAIR_BUDGET // int(npts.max() * nuni.max()))
-    chunks = [np.arange(s, min(npts.size, s + size)) for s in range(0, npts.size, size)]
+    chunks = _chunks(npts, nuni)
     while chunks:           # one kernel call each; padding points repeat the first
         sel = chunks.pop()
         pm, um = np.arange(npts[sel].max()), np.arange(nuni[sel].max())

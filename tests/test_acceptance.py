@@ -113,7 +113,7 @@ def test_criterion_1_polynomial_reproduction():
         sub = asm.subdomain_for_node(k, nodes, problem.geometry, cfg)
         builder = asm.dmlpg1_row if method == "dmlpg1" else asm.dmlpg5_row
         row = builder(k, sub, problem, cfg, float(nodes.support[k]),
-                      np.array([True, True]), asm.LambdaCache(False))
+                      np.array([True, True]))
         moment = mls.MomentSystem.build(nodes.points[k], nodes, 2,
                                         delta=float(nodes.support[k]))
         blocks = np.einsum("nij,nl->lij", row.lam, moment.phi())
@@ -180,7 +180,7 @@ def test_criterion_3_exact_quadrature():
                 continue
             sub = asm.subdomain_for_node(k, nodes, problem.geometry, cfg)
             rows[k] = builder(k, sub, problem, cfg, float(nodes.support[k]),
-                              np.array([True, True]), asm.LambdaCache(False))
+                              np.array([True, True]))
         return rows
 
     worst = 0.0

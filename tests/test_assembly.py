@@ -20,7 +20,7 @@ def _interior_row(problem, nodes, method, config, k=None):
     sub = asm.subdomain_for_node(k, nodes, problem.geometry, config)
     builder = asm.dmlpg1_row if method == "dmlpg1" else asm.dmlpg5_row
     row = builder(k, sub, problem, config, float(nodes.support[k]),
-                  np.array([True, True]), asm.LambdaCache(False))
+                  np.array([True, True]))
     return row, sub
 
 
@@ -150,17 +150,22 @@ def test_stage_timers_cover_the_assembly(beam):
 def test_cache_hits_on_identical_squares(beam):
     problem, nodes = beam
     config = asm.SolverConfig()
-    cache = asm.LambdaCache(True)
     k1 = int(np.argmin(np.linalg.norm(nodes.points - np.array([4.0, 0.5]), axis=1)))
     k2 = int(np.argmin(np.linalg.norm(nodes.points - np.array([3.0, 0.5]), axis=1)))
+    weak = np.flatnonzero(nodes.tags != geo.DIRICHLET)
+    plan = asm.plan_subdomains(nodes.points, nodes.spacing, problem.geometry, config)
+    keys = asm._functional_keys(plan, nodes, weak, shared=True)
+    assert keys[k1] == keys[k2] <= min(k1, k2)
+    assert np.array_equal(asm._functional_keys(plan, nodes, weak, shared=False),
+                          np.arange(nodes.n))
     rows = []
     for k in (k1, k2):
         sub = asm.subdomain_for_node(k, nodes, problem.geometry, config)
-        rows.append(asm.dmlpg1_row(k, sub, problem, config,
-                                   float(nodes.support[k]),
-                                   np.array([True, True]), cache))
-    assert cache.misses == 1 and cache.hits == 1
-    assert rows[0].lam is rows[1].lam  # bitwise identical via the cache
+        rows.append(asm.dmlpg1_row(k, sub, problem, config, float(nodes.support[k]),
+                                   np.array([True, True]), rows[0].lam if rows else None))
+    assert rows[0].lam is rows[1].lam  # the key's functional, shared as is
+    hits = asm.assemble(nodes, problem, "dmlpg1", config).stats["cache_hit_counts"]
+    assert hits[int(keys[k1])] == np.count_nonzero(keys[weak] == keys[k1]) - 1
 
 
 def test_cache_on_off_equivalence(beam):

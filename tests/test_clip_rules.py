@@ -80,10 +80,16 @@ def test_plan_whole_matches_the_builders(placement):
     if shape == "box":
         assert [p.on_gamma for p in sub.pieces] == plan.faces[0].T.ravel().tolist()
         if plan.whole[0]:
-            lo, hi = (np.stack([plan.lo[0], plan.hi[0]]) - centre + 0.0).tolist()
-            assert sub.signature == ("box", tuple(lo), tuple(hi),
-                                     ((False, None),) * 2 * len(lo))
+            # each face rule fixes its coordinate to exactly lo or hi
+            fixed = [piece.rule(1).points[0] - centre for piece in sub.pieces]
+            lo, hi = (np.stack([plan.lo[0], plan.hi[0]]) - centre).tolist()
+            assert [f[axis] for axis, f in enumerate(fixed[0::2])] == lo
+            assert [f[axis] for axis, f in enumerate(fixed[1::2])] == hi
+            assert all(piece.traction_known is None for piece in sub.pieces)
     else:
-        planes = {(axis, side) for clip, axis, side in sub.signature[2] if clip == "plane"}
+        # the plane clips are the on-boundary plane pieces, by outward normal
+        planes = {(int(np.argmax(np.abs(n))), int(n[np.argmax(np.abs(n))]))
+                  for n in (piece.rule(1).normals[0] for piece in sub.pieces
+                            if piece.on_gamma and piece.kind != "arc")}
         sides, axes = np.nonzero(plan.faces[0])
         assert planes == {(int(a), 2 * int(s) - 1) for s, a in zip(sides, axes)}

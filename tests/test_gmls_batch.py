@@ -7,6 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmlpg import assembly as asm
 from dmlpg import benchmarks as bm
@@ -66,10 +68,29 @@ def _rel(a, b):
     return abs(a - b).max() / abs(b).max()
 
 
+def _subdomain_key(k, sub, nodes):
+    """Node k's sharing key, from its built subdomain and not from the plan:
+    the shape and support radius, then a box's corners about the node (each
+    face rule fixes its coordinate to exactly lo or hi) and its faces on the
+    global boundary, or a ball's radius and plane clips (the outward normals
+    of its on-boundary plane pieces).  A curve-clipped subdomain is its own."""
+    if sub.curved_clip:
+        return k
+    if sub.shape == "box":
+        fixed = [piece.rule(1).points[0] - sub.center for piece in sub.pieces]
+        extent = (tuple(f[axis] for axis, f in enumerate(fixed[0::2])),
+                  tuple(f[axis] for axis, f in enumerate(fixed[1::2])),
+                  tuple(piece.on_gamma for piece in sub.pieces))
+    else:
+        extent = (sub.size, frozenset(tuple(piece.rule(1).normals[0]) for piece in sub.pieces
+                                      if piece.on_gamma and piece.kind != "arc"))
+    return (sub.shape, float(nodes.support[k]), *extent)
+
+
 def _per_node_assemble(nodes, problem, method, config):
     """Matrix, right-hand side and moment conditions, one ``MomentSystem`` per node."""
     row_builder = asm.dmlpg1_row if method == "dmlpg1" else asm.dmlpg5_row
-    cache = asm.LambdaCache(config.cache)
+    lambdas = {}
     d = nodes.dim
     rows, cols, vals, conds = [], [], [], []
     rhs = np.zeros(nodes.n * d)
@@ -82,8 +103,10 @@ def _per_node_assemble(nodes, problem, method, config):
         blocks = np.zeros((moment.active.size, d, d))
         if nodes.tags[k] != geo.DIRICHLET:
             sub = asm.subdomain_for_node(k, nodes, problem.geometry, config)
+            key = _subdomain_key(k, sub, nodes) if config.cache else k
             row = row_builder(k, sub, problem, config, float(nodes.support[k]), ~mask,
-                              cache)
+                              lambdas.get(key))
+            lambdas.setdefault(key, row.lam)
             blocks = np.einsum("nij,nl->lij", row.lam, phi)
             rhs[d * k: d * k + d] = row.beta
         for i in np.flatnonzero(mask):
@@ -343,7 +366,8 @@ def test_direct_row_kernels_match_einsum_oracle(name):
 def test_classical_row_matches_einsum_oracle(name, variant):
     problem, nodes, _, config, _ = _case(name)
     batch = _weak_nodes(nodes, problem, config, count=4)
-    rows = mlpg._classical_rows(variant, nodes, batch, problem, config, None, Counter())
+    rows = mlpg._classical_rows(variant, nodes, [(k, k, sub, None) for k, sub in batch],
+                                problem, config, Counter())
     for (k, sub), row in zip(batch, rows):
         survivors = ~nodes.masks[k]
         union, blocks, beta, npts = _classical_row_oracle(nodes, problem, variant,
@@ -373,6 +397,32 @@ def test_classical_counts_show_the_padding():
         counts = system.stats["classical"]
         assert 0 < counts["chunks"] < system.stats["groups"]["subdomains_built"]
         assert 0 < counts["pairs"] <= counts["padded_pairs"]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(1, 400), st.integers(1, 200)), min_size=1, max_size=64))
+def test_chunks_are_cut_only_where_the_next_subdomain_overflows(sizes):
+    npts, nuni = np.array(sizes).T
+    chunks = mlpg._chunks(npts, nuni)
+    assert sorted(np.concatenate(chunks).tolist()) == list(range(len(sizes)))
+
+    def padded(chunk):
+        return chunk.size * npts[chunk].max() * nuni[chunk].max()
+    for chunk, after in zip(chunks, chunks[1:] + [None]):
+        assert chunk.size == 1 or padded(chunk) <= mlpg.PAIR_BUDGET
+        if after is not None:       # it could not take the next subdomain
+            assert padded(np.r_[chunk, after[:1]]) > mlpg.PAIR_BUDGET
+
+
+def test_mixed_rule_sizes_share_chunks():
+    # plate level 0 on boxes: the hole's 300-point polar rules sit in most
+    # batches among 100-point box rules; one chunk size per batch from its
+    # largest rule made 516 chunks for its 535 subdomains
+    problem = bm.PlateProblem()
+    nodes = bm.plate_level_factory(problem)(0)[1]
+    counts = mlpg.assemble_mlpg(nodes, problem, "mlpg1", asm.SolverConfig()).stats["classical"]
+    assert counts["chunks"] < 535 // 3
+    assert counts["padded_pairs"] < 1.1 * counts["pairs"]
 
 
 def _classical_systems(monkeypatch, budget):

@@ -1,18 +1,21 @@
-"""Signature-first assembly: the vectorised subdomain plan against the former
-per-node size policy, and the grouped node loop against a per-node loop."""
+"""Plan-keyed assembly: the vectorised subdomain plan against the former
+per-node size policy, and the keyed node loop against a per-node loop that
+shares functionals by keys taken from the built subdomains."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dmlpg import assembly as asm
 from dmlpg import benchmarks as bm
 from dmlpg import geometry as geo
 from dmlpg import mls
 from dmlpg import mlpg
-from test_gmls_batch import _case, _rel
+from test_gmls_batch import _case, _rel, _subdomain_key
 
 
 def _policy_oracle(k, nodes, geometry, config):
@@ -46,19 +49,24 @@ CLOUDS = ("beam", "beam-box", "plate", "shell", "jittered")
 
 
 def _per_node_loop(nodes, problem, method, config):
-    """Matrix, rhs and cache of the node loop before grouping: one subdomain
-    and one row kernel call per weak node, then the same GMLS solve."""
+    """Matrix, rhs and hit counts of a per-node loop: one subdomain and one
+    row kernel call per weak node, then the same GMLS solve.  With the cache
+    on, a node takes the functional of the first node with its
+    ``_subdomain_key``; the hit counts are {first node: the other nodes}."""
     row_builder = asm.dmlpg1_row if method == "dmlpg1" else asm.dmlpg5_row
     d = nodes.dim
-    cache = asm.LambdaCache(config.cache)
+    lambdas, members = {}, {}
     functionals = np.zeros((nodes.n, d, d, mls.basis_size(config.m, d)))
     rhs = np.zeros(nodes.n * d)
     for k in range(nodes.n):
         mask = nodes.masks[k]
         if nodes.tags[k] != geo.DIRICHLET:
             sub = asm.subdomain_for_node(k, nodes, problem.geometry, config)
+            key = _subdomain_key(k, sub, nodes) if config.cache else k
             row = row_builder(k, sub, problem, config, float(nodes.support[k]), ~mask,
-                              cache)
+                              lambdas.get(key))
+            lambdas.setdefault(key, row.lam)
+            members.setdefault(key, []).append(k)
             measure = sub.measure if config.scale_rows else 1.0
             lam = row.lam / measure
             lam[:, mask, :] = 0.0
@@ -79,7 +87,8 @@ def _per_node_loop(nodes, problem, method, config):
     matrix = sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
                            shape=(nodes.n * d, nodes.n * d)).tocsr()
     matrix.eliminate_zeros()
-    return matrix, rhs, cache
+    hit_counts = {m[0]: len(m) - 1 for m in members.values() if len(m) > 1}
+    return matrix, rhs, hit_counts
 
 
 def _assert_same_system(system, matrix, rhs):
@@ -101,17 +110,17 @@ def test_plan_matches_the_per_node_policy(name):
             continue        # no subdomain; the shell's clamped spheres have none
         sub = asm.subdomain_for_node(k, nodes, problem.geometry, config)
         assert sub.shape == shape and sub.size == size
-        lo, hi = (np.stack([plan.lo[k], plan.hi[k]]) - nodes.points[k] + 0.0).tolist()
+        lo, hi = (np.stack([plan.lo[k], plan.hi[k]]) - nodes.points[k]).tolist()
+        key = _subdomain_key(k, sub, nodes)
         if shape == "box":      # clipped boxes too: their corners and faces
-            assert sub.signature[1:3] == (tuple(lo), tuple(hi))
-            assert [p.on_gamma for p in sub.pieces] == plan.faces[k].T.ravel().tolist()
+            assert key[2:] == (tuple(lo), tuple(hi), tuple(plan.faces[k].T.ravel()))
         if plan.whole[k]:
             whole += 1
             assert not any(piece.on_gamma for piece in sub.pieces)
             assert not sub.curved_clip
-            signature = (("ball", size, ()) if shape == "ball"
-                         else ("box", tuple(lo), tuple(hi), ((False, None),) * 2 * len(lo)))
-            assert sub.signature == signature
+            extent = ((size, frozenset()) if shape == "ball"
+                      else (tuple(lo), tuple(hi), (False,) * 2 * len(lo)))
+            assert key == (shape, float(nodes.support[k]), *extent)
     assert whole > nodes.n // 3
 
 
@@ -121,44 +130,86 @@ def test_grouped_assembly_is_bit_identical_to_the_per_node_loop(name, scale_rows
     problem, nodes, method, config = _cloud(name)
     config = asm.SolverConfig(**{**config.__dict__, "scale_rows": scale_rows})
     system = asm.assemble(nodes, problem, method, config)
-    matrix, rhs, cache = _per_node_loop(nodes, problem, method, config)
+    matrix, rhs, hit_counts = _per_node_loop(nodes, problem, method, config)
     _assert_same_system(system, matrix, rhs)
-    assert system.stats["cache_hits"] == cache.hits
-    assert system.stats["cache_misses"] == cache.misses
-    assert system.stats["cache_hit_counts"] == cache.hit_counts
-    # a body force (the jittered cloud's quadratic field) turns grouping off
-    assert (system.stats["groups"]["grouped_nodes"] > 0) == (problem.body is None)
+    weak = int(np.count_nonzero(nodes.tags != geo.DIRICHLET))
+    assert system.stats["cache_hit_counts"] == hit_counts
+    assert system.stats["cache_hits"] == sum(hit_counts.values())
+    assert system.stats["cache_misses"] == weak - sum(hit_counts.values())
+    # under a body force (the jittered cloud's quadratic field) every weak
+    # node builds its subdomain
+    built = system.stats["groups"]["subdomains_built"]
+    assert (built < weak) == (problem.body is None)
 
 
 def test_group_counts_match_every_built_subdomain(monkeypatch):
     problem, nodes, method, config = _cloud("beam")
     weak = [k for k in range(nodes.n) if nodes.tags[k] != geo.DIRICHLET]
-    keys = []
+    keys, whole = [], []
     for k in weak:
         sub = asm.subdomain_for_node(k, nodes, problem.geometry, config)
+        keys.append(_subdomain_key(k, sub, nodes))
         if not sub.curved_clip and not any(piece.on_gamma for piece in sub.pieces):
-            keys.append((float(nodes.support[k]), sub.signature))
+            whole.append(keys[-1])
     calls = {"build_subdomain": 0, "dmlpg1_row": 0}
     for name in calls:
         def counted(*args, _fn=getattr(asm, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(asm, name, counted)
-    stats = asm.assemble(nodes, problem, method, config).stats["groups"]
-    built = len(weak) - len(keys) + len(set(keys))
-    assert stats == {"groups": len(set(keys)), "grouped_nodes": len(keys),
-                     "subdomains_built": built}
+    stats = asm.assemble(nodes, problem, method, config).stats
+    built = len(weak) - len(whole) + len(set(whole))
+    assert stats["groups"] == {"subdomains_built": built}
+    assert stats["cache_misses"] == len(set(keys)) < built
+    assert stats["cache_hits"] == len(weak) - len(set(keys))
     assert calls == {"build_subdomain": built, "dmlpg1_row": built}
+
+
+@st.composite
+def scattered_clouds(draw):
+    """(problem, nodes, method, shape): a grid of square cells on an axis box
+    whose interior nodes move by up to 0, 1/8 or 1/4 of the spacing per axis,
+    with a linear field or a quadratic one (which has a body force)."""
+    counts = (draw(st.integers(5, 9)), draw(st.integers(4, 6)))
+    lengths = tuple(0.25 * (c - 1) for c in counts)
+    base = geo.generate_grid_nodes(counts, lengths)
+    pts = base.points.copy()
+    inner = np.all((pts > 1e-9) & (pts < np.array(lengths) - 1e-9), axis=1)
+    jitter = draw(st.sampled_from([0.0, 0.125, 0.25])) * base.mesh_size
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pts[inner] += rng.uniform(-jitter, jitter, (int(inner.sum()), 2))
+    nodes = geo.NodeSet(pts, base.tags, base.masks, base.spacing, base.support,
+                        base.mesh_size)
+    coeffs = (bm.linear_patch_coeffs(2) if draw(st.booleans())
+              else bm.quadratic_patch_coeffs(2))
+    return (bm.ManufacturedProblem(coeffs, lengths), nodes,
+            draw(st.sampled_from(["dmlpg1", "dmlpg5"])), draw(st.sampled_from(["box", "ball"])))
+
+
+@settings(max_examples=25, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scattered_clouds())
+def test_keyed_assembly_matches_the_uncached_one_on_scattered_clouds(cloud):
+    problem, nodes, method, shape = cloud
+    on = asm.assemble(nodes, problem, method, asm.SolverConfig(shape=shape))
+    off = asm.assemble(nodes, problem, method, asm.SolverConfig(shape=shape, cache=False))
+    assert _rel(on.matrix, off.matrix) <= 1e-14
+    assert np.array_equal(on.rhs, off.rhs)
+    weak = int(np.count_nonzero(nodes.tags != geo.DIRICHLET))
+    assert on.stats["cache_hits"] + on.stats["cache_misses"] == weak
 
 
 def test_classical_methods_group_nothing():
     problem, nodes, *_ = _case("beam")
     weak = int(np.count_nonzero(nodes.tags != geo.DIRICHLET))
     for variant in ("mlpg1", "mlpg5"):
-        stats = mlpg.assemble_mlpg(nodes, problem, variant).stats["groups"]
-        assert stats == {"groups": 0, "grouped_nodes": 0, "subdomains_built": weak}
-    off = asm.assemble(nodes, problem, "dmlpg1", asm.SolverConfig(cache=False))
-    assert off.stats["groups"]["subdomains_built"] == weak
+        stats = mlpg.assemble_mlpg(nodes, problem, variant).stats
+        assert stats["groups"] == {"subdomains_built": weak}
+        counters = stats["cache_hits"], stats["cache_misses"], stats["cache_hit_counts"]
+        assert counters == (0, 0, {})
+    off = asm.assemble(nodes, problem, "dmlpg1", asm.SolverConfig(cache=False)).stats
+    assert off["groups"]["subdomains_built"] == weak
+    assert (off["cache_hits"], off["cache_misses"], off["cache_hit_counts"]) == (0, 0, {})
 
 
 @pytest.mark.parametrize("method", ["dmlpg1", "dmlpg5"])
@@ -169,8 +220,7 @@ def test_body_force_groups_match_the_uncached_assembly(method):
     on = asm.assemble(nodes, problem, method, asm.SolverConfig())
     off = asm.assemble(nodes, problem, method, asm.SolverConfig(cache=False))
     # with a body force every weak node builds its own subdomain and rule
-    assert on.stats["groups"] == {"groups": 0, "grouped_nodes": 0,
-                                  "subdomains_built": int(np.sum(nodes.tags != geo.DIRICHLET))}
+    assert on.stats["groups"] == {"subdomains_built": int(np.sum(nodes.tags != geo.DIRICHLET))}
     assert on.stats["cache_hits"] > 0
     assert _rel(on.matrix, off.matrix) <= 1e-14
     assert np.abs(on.rhs - off.rhs).max() <= 1e-14 * np.abs(off.rhs).max()
@@ -220,7 +270,7 @@ def test_disk_rim_near_a_plane_takes_the_builders_path():
     for k in moved[1:]:
         sub = asm.subdomain_for_node(k, nodes, problem.geometry, config)
         assert not any(p.on_gamma for p in sub.pieces)
-        assert sub.signature == ("ball", r, ())
+        assert _subdomain_key(k, sub, nodes)[2:] == (r, frozenset())
 
 
 @pytest.mark.parametrize("name", ["beam", "plate", "shell"])
