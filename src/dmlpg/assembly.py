@@ -1,4 +1,5 @@
-"""Stiffness assembly, the direct-method rows (DMLPG1/DMLPG5), solve and recovery.
+"""Stiffness assembly, the direct-method rows (DMLPG1/DMLPG5), solve and
+recovery.
 
 One node loop (``_assemble``) serves the direct and the classical methods:
 it builds each node's subdomain, collocates the prescribed components,
@@ -8,9 +9,11 @@ entries.  A direct row is a d x (d*Q) functional matrix: the local weak form
 applied to the shifted polynomial basis, integrated over polynomials only,
 built once per key (nodes with equal subdomains about them share one), and
 turned into entries by the generalized moving least squares fit at the node.
-A classical row (``mlpg``) integrates MLS shape-function derivatives at
-quadrature points and gives the entries directly.  Essential boundary conditions are collocation
-rows; mixed nodes replace only their prescribed component rows.
+The direct box rows come straight from the subdomain plan, in one array pass
+(``_box_rows``).  A classical row (``mlpg``) integrates MLS shape-function
+derivatives at quadrature points and gives the entries directly.  Essential
+boundary conditions are collocation rows; mixed nodes replace only their
+prescribed component rows.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from scipy.linalg import LinAlgWarning, lapack, lu_factor, lu_solve
 
 from . import elasticity as ela
 from . import mls
+from . import quadrature as quad
 from .geometry import (DIRICHLET, MIXED, Subdomain, UnsupportedClipError, ball_clip,
-                       box_clip, build_subdomain, canonical_shape)
+                       box_clip, box_clip_error, build_subdomain, canonical_shape)
 
 
 class SingularSystemError(Exception):
@@ -87,34 +91,38 @@ class BoxTestFunction:
     """Polynomial bump on the unclipped box: prod_i (1 - 4 dx_i^2/s^2)^(n/2).
 
     Vanishes on every face of the original box, so clipped faces lying on the
-    global boundary are the only boundary pieces where it survives.
+    global boundary are the only boundary pieces where it survives.  A stack
+    of boxes, centres (..., d) and sizes (...), takes points (..., P, d).
     """
 
-    def __init__(self, center, size: float, degree: int = 2):
+    def __init__(self, center, size, degree: int = 2):
         if degree < 2 or degree % 2:
             raise ValueError("box test-function degree must be even and >= 2")
         self.center = np.asarray(center, dtype=float)
-        self.size = float(size)
+        self.size = np.asarray(size, dtype=float)
         self.power = degree // 2
 
+    def _scaled(self, points):
+        pts = np.atleast_2d(points)
+        return (pts - self.center[..., None, :]) * (2.0 / self.size)[..., None, None]
+
     def values(self, points) -> np.ndarray:
-        z = (np.atleast_2d(points) - self.center) * (2.0 / self.size)
-        return np.prod((1.0 - z**2) ** self.power, axis=1)
+        return np.prod((1.0 - self._scaled(points)**2) ** self.power, axis=-1)
 
     def gradients(self, points) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        z = (pts - self.center) * (2.0 / self.size)
+        z = self._scaled(points)
         factors = (1.0 - z**2) ** self.power
-        prod_all = np.prod(factors, axis=1, keepdims=True)
-        # others[:, a] is the product of every factor but axis a's.  On a face
-        # the own factor is 0 and the quotient undefined; inside the box the
-        # quotient is kept, because an ulp's change in it moves the assembled
-        # rows of ill-conditioned mixed nodes by up to 2.5e-13 relative
-        rest = np.prod(np.where(np.eye(z.shape[1], dtype=bool), 1.0, factors[:, None, :]),
-                       axis=2)
+        prod_all = np.prod(factors, axis=-1, keepdims=True)
+        # others[..., a] is the product of every factor but axis a's.  On a
+        # face the own factor is 0 and the quotient undefined; inside the box
+        # the quotient is kept, because an ulp's change in it moves the
+        # assembled rows of ill-conditioned mixed nodes by up to 2.5e-13
+        rest = np.prod(np.where(np.eye(z.shape[-1], dtype=bool), 1.0, factors[..., None, :]),
+                       axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             others = np.where(factors > 0.0, prod_all / factors, rest)
-        dfac = self.power * (1.0 - z**2) ** (self.power - 1) * (-2.0 * z) * (2.0 / self.size)
+        dfac = (self.power * (1.0 - z**2) ** (self.power - 1) * (-2.0 * z)
+                * (2.0 / self.size)[..., None, None])
         return others * dfac
 
 
@@ -189,16 +197,17 @@ def _piece_rule(piece, sub: Subdomain, config: SolverConfig, traction: bool):
 
 
 def weak_operator(weights, vectors, dmat, tmap) -> np.ndarray:
-    """w_q (T v_q) D T at every point q, shape (q, d, d, d) indexed (q, i, j, t).
+    """w_q (T v_q) D T at every point q, shape (..., q, d, d, d) indexed (q, i, j, t).
 
-    ``vectors`` (q, d) are the test-function gradients (volume rows) or the
-    outward normals (boundary rows).  Contracted with trial gradients
-    (``weak_contract``) it gives the weak-form blocks.
+    ``vectors`` (..., q, d) are the test-function gradients (volume rows) or
+    the outward normals (boundary rows), ``weights`` (..., q).  Contracted
+    with trial gradients (``weak_contract``) it gives the weak-form blocks.
     """
     n_voigt, d = tmap.shape[:2]
-    tv = np.einsum("vij,qj->qiv", tmap, vectors) * weights[:, None, None]
+    tv = (np.einsum("vij,qj->qiv", tmap, vectors.reshape(-1, d))
+          * weights.reshape(-1, 1, 1))
     return (tv.reshape(-1, n_voigt) @ (dmat @ tmap.reshape(n_voigt, d * d))
-            ).reshape(-1, d, d, d)
+            ).reshape(*vectors.shape[:-1], d, d, d)
 
 
 def weak_contract(operator, grads) -> np.ndarray:
@@ -271,9 +280,7 @@ def _beta(sub: Subdomain, problem, config: SolverConfig, survivors,
             continue
         known = np.asarray(piece.traction_known, dtype=bool)
         if test is not None and np.any(~known & survivors):
-            raise UnsupportedClipError(
-                f"subdomain at {sub.center}: test function does not vanish on a "
-                "boundary piece with unknown traction")
+            raise _surviving_test(sub.center)
         if not np.any(known):
             continue
         rule = _piece_rule(piece, sub, config, traction=True)
@@ -283,6 +290,11 @@ def _beta(sub: Subdomain, problem, config: SolverConfig, survivors,
         start += rule.weights.size
         beta[known] -= np.einsum("q,qi->i", rule.weights * v, tbar)[known]
     return beta
+
+
+def _surviving_test(center) -> UnsupportedClipError:
+    return UnsupportedClipError(f"subdomain at {center}: test function does not vanish "
+                                "on a boundary piece with unknown traction")
 
 
 def dmlpg1_row(node: int, sub: Subdomain, problem, config: SolverConfig,
@@ -329,11 +341,12 @@ class SubdomainPlan:
 
     ``shape`` ("box" or "ball") and ``size`` are what ``build_subdomain``
     receives.  ``lo`` and ``hi`` are a box's corners as its builder clips
-    them, and for a ball those of its bound box (side 2r).  ``faces`` marks the (low, high) bound
-    planes of each axis that clip a subdomain: a box face moved onto one, or
-    a plane through a ball's centre.  ``whole`` marks the subdomains their
-    builder does not clip, and ``curved`` the nodes on a curve, whose disk or
-    ball the curve clips.
+    them, and for a ball those of its bound box (side 2r).  ``faces`` marks
+    the (low, high) bound planes of each axis that clip a subdomain: a box
+    face moved onto one, or a plane through a ball's centre.  ``whole``
+    marks the subdomains their builder does not clip, ``curved`` the nodes
+    on a curve, whose disk or ball the curve clips, and ``crosses`` the
+    boxes that reach across a curve, which their builder rejects.
     """
 
     shape: np.ndarray           # (n,) str
@@ -343,6 +356,7 @@ class SubdomainPlan:
     hi: np.ndarray              # (n, d)
     faces: np.ndarray           # (n, 2, d) bool
     curved: np.ndarray          # (n,) bool
+    crosses: np.ndarray         # (n,) bool
 
 
 def plan_subdomains(points, spacing, geometry, config: SolverConfig) -> SubdomainPlan:
@@ -372,7 +386,8 @@ def plan_subdomains(points, spacing, geometry, config: SolverConfig) -> Subdomai
     gaps = np.column_stack([lo_gap, hi_gap, *(gap for _, gap in curves)])
     whole = np.where(ball, np.all((gaps > tol[:, None]) & (gaps >= (size - tol)[:, None]), axis=1),
                      ~faces.any(axis=(1, 2)) & ~crosses)
-    return SubdomainPlan(np.where(ball, "ball", "box"), size, whole, lo, hi, faces, curved)
+    return SubdomainPlan(np.where(ball, "ball", "box"), size, whole, lo, hi, faces, curved,
+                         crosses & ~ball)
 
 
 def subdomain_for_node(k: int, nodes, geometry, config: SolverConfig) -> Subdomain:
@@ -470,7 +485,131 @@ def _node_rows(row_builder, lambdas, nodes, batch, problem, config, counts) -> l
     return rows
 
 
-def _weak_rows(nodes, problem, config: SolverConfig, weak_rows, shared: bool,
+def _plane_tractions(geometry, d: int):
+    """By (side, axis) of the bound planes: whether a boundary condition holds
+    there (2, d), and the traction components it prescribes (2, d, d)."""
+    bcs = [[geometry.plane_bc(axis, side) for axis in range(d)] for side in (-1, 1)]
+    held = np.array([[bc is not None for bc in row] for row in bcs])
+    known = np.array([[bc.traction_known if bc else (False,) * d for bc in row]
+                      for row in bcs], dtype=bool)
+    return held, known
+
+
+def _box_rows(method: str, nodes, problem, config: SolverConfig, plan: SubdomainPlan,
+              keys, boxes, stage: StageTimer):
+    """The rows of the built box nodes ``boxes`` (ascending) of a direct
+    method, in one array pass over the plan: no ``Subdomain``, ``Piece`` or
+    per-node rule is built.
+
+    A box functional depends only on the clipped box (``plan.lo``,
+    ``plan.hi``, ``plan.faces``), the basis scale and, in DMLPG1, the test
+    function's box (``plan.size``).  So each key's functional is built at its
+    first node, with the arithmetic of ``dmlpg1_row``/``dmlpg5_row``: the
+    DMLPG5 face rules are stacked per pattern of kept faces, so that each
+    node's contraction keeps its per-node shape.  The right-hand side
+    integrates the body force and the prescribed tractions as ``_beta`` does,
+    with one ``problem.traction`` call per about ``TRACTION_BUDGET`` points.
+
+    Returns the keys, their functionals (keys, Q, d, d), each box's
+    right-hand side (boxes, d) and the failures {node: error}: the builder's
+    clip errors and, in DMLPG1, a test function that survives on a face with
+    an unknown traction.
+    """
+    d = nodes.dim
+    dmat, tmap = ela.elastic_matrix(problem.material), ela.voigt_map(d)
+    held, known = _plane_tractions(problem.geometry, d)
+    lo, hi, faces, crosses = (plan.lo[boxes], plan.hi[boxes], plan.faces[boxes],
+                              plan.crosses[boxes])
+    centers, sizes = nodes.points[boxes], plan.size[boxes]
+    volume = method == "dmlpg1"
+    with stage("rows_s"):
+        failures = {}
+        clipped = (hi <= lo).any(axis=1) | crosses | (faces & ~held).any(axis=(1, 2))
+        for i in np.flatnonzero(clipped).tolist():
+            failures[int(boxes[i])] = box_clip_error(centers[i], lo[i], hi[i], faces[i],
+                                                     crosses[i], problem.geometry)
+        if volume:
+            survives = faces[..., None] & ~known & ~nodes.masks[boxes][:, None, None, :]
+            for i in np.flatnonzero(survives.any(axis=(1, 2, 3)) & ~clipped).tolist():
+                failures[int(boxes[i])] = _surviving_test(centers[i])
+        heads, at = np.unique(keys[boxes], return_index=True)
+        basis = mls.PolyBasis(config.m, d, centers[at], nodes.support[heads])
+        if volume:
+            rule = quad.rule_box(lo[at], hi[at], config.interior_points())
+            test = BoxTestFunction(centers[at], sizes[at], config.test_degree)
+            op = weak_operator(-rule.weights, test.gradients(rule.points), dmat, tmap)
+            lam = weak_contract(op, basis.gradients(rule.points))
+        else:
+            lam = _box_boundary_functionals(lo[at], hi[at], faces[at], known, basis,
+                                            dmat, tmap, config.boundary_points())
+        beta = np.zeros((boxes.size, d))
+        if getattr(problem, "body", None) is not None:
+            rule = quad.rule_box(lo, hi, config.interior_points())
+            wv = rule.weights
+            if volume:
+                wv = wv * BoxTestFunction(centers, sizes, config.test_degree).values(rule.points)
+            for i in range(boxes.size):
+                beta[i] -= np.einsum("q,qi->i", wv[i], problem.body(rule.points[i]))
+        # the faces on a plane that prescribes some traction, in piece order
+        loaded = faces & known.any(axis=-1)
+        rows = np.flatnonzero(loaded.any(axis=(1, 2)))
+        n = config.quad_traction
+        window = (np.cumsum(loaded[rows].sum(axis=(1, 2)) * n ** (d - 1)) - 1) // TRACTION_BUDGET
+    for part in np.split(rows, np.flatnonzero(np.diff(window)) + 1) if rows.size else ():
+        with stage("rows_s"):
+            rules = []
+            for axis in range(d):
+                for side in (0, 1):
+                    sel = part[loaded[part, side, axis]]
+                    if sel.size:
+                        rules.append((sel, known[side, axis], quad.rule_box_face(
+                            lo[sel], hi[sel], axis, 2 * side - 1, n)))
+        with stage("traction_s"):
+            tbar = problem.traction(
+                np.concatenate([r.points.reshape(-1, d) for *_, r in rules]),
+                np.concatenate([r.normals.reshape(-1, d) for *_, r in rules]))
+        with stage("rows_s"):
+            start = 0
+            for sel, kn, r in rules:
+                t = tbar[start:start + r.weights.size].reshape(r.points.shape)
+                start += r.weights.size
+                wv = r.weights
+                if volume:
+                    wv = wv * BoxTestFunction(centers[sel], sizes[sel],
+                                              config.test_degree).values(r.points)
+                beta[sel[:, None], np.flatnonzero(kn)] -= np.einsum("nq,nqi->ni", wv, t)[:, kn]
+    return heads, lam, beta, failures
+
+
+def _box_boundary_functionals(lo, hi, faces, known, basis, dmat, tmap, n: int):
+    """The DMLPG5 functionals (boxes, Q, d, d) of clipped boxes: ``boundary_operator``
+    on the faces of one pattern of kept faces at a time.  A face on a plane
+    that prescribes every traction component is dropped."""
+    d = lo.shape[1]
+    on = faces.transpose(0, 2, 1).reshape(-1, 2 * d)         # piece order: axis, side
+    face_known = known.transpose(1, 0, 2).reshape(2 * d, d)
+    kept = ~(on & face_known.all(axis=1))
+    codes = kept @ (1 << np.arange(2 * d))
+    lam = np.zeros((lo.shape[0], basis.q, d, d))
+    for code in np.unique(codes).tolist():
+        sel = np.flatnonzero(codes == code)
+        pieces = [f for f in range(2 * d) if code >> f & 1]
+        if not pieces:
+            continue
+        rules = [quad.rule_box_face(lo[sel], hi[sel], f // 2, 2 * (f % 2) - 1, n)
+                 for f in pieces]
+        masks = [np.broadcast_to((on[sel, f, None] & face_known[f])[:, None, :],
+                                 r.normals.shape) for f, r in zip(pieces, rules)]
+        op = weak_operator(np.concatenate([r.weights for r in rules], axis=1),
+                           np.concatenate([r.normals for r in rules], axis=1), dmat, tmap)
+        op[np.concatenate(masks, axis=1)] = 0.0
+        points = np.concatenate([r.points for r in rules], axis=1)
+        stack = mls.PolyBasis(basis.m, d, basis.center[sel], basis.scale[sel])
+        lam[sel] = weak_contract(op, stack.gradients(points))
+    return lam
+
+
+def _weak_rows(nodes, problem, config: SolverConfig, weak_rows, method: str, shared: bool,
                stage: StageTimer, counts: dict):
     """The weak rows of the node loop.  The row kernel ``weak_rows(nodes,
     batch, problem, config, counts)`` maps a batch of ``(node, key,
@@ -478,19 +617,21 @@ def _weak_rows(nodes, problem, config: SolverConfig, weak_rows, shared: bool,
 
     ``plan_subdomains`` sizes every subdomain in one pass and
     ``_functional_keys`` keys it (``shared``: the direct methods with the
-    cache on).  A node builds its subdomain and row when it is the first node
-    of its key, its subdomain is not whole, or there is a body force; any
-    other node takes its key's functional and a zero right-hand side.  Rows
-    are built in node order, in batches that share one ``problem.traction``
-    call (``TRACTION_BUDGET``, ``BATCH_NODES``), of which ``tractions`` is
-    the node's slice.
+    cache on).  A node builds its row when it is the first node of its key,
+    its subdomain is not whole, or there is a body force; any other node
+    takes its key's functional and a zero right-hand side.  The direct
+    methods build their box rows from the plan in one array pass
+    (``_box_rows``).  Every other row builds its subdomain, in node order, in
+    batches that share one ``problem.traction`` call (``TRACTION_BUDGET``,
+    ``BATCH_NODES``), of which ``tractions`` is the node's slice.
 
     Returns the node-centred functionals (n, d, d, Q), the right-hand side,
     the explicit ``(node, active, blocks)`` rows of the classical kernels,
-    each built row's shape-evaluation count, the failures {node: error} and
-    the stats: ``cache_misses`` (the keys, 0 without ``shared``),
+    each subdomain-built row's shape-evaluation count, the failures {node:
+    error} and the stats: ``cache_misses`` (the keys, 0 without ``shared``),
     ``cache_hits`` and ``cache_hit_counts`` (a key's other nodes, in total
-    and per first node) and ``groups`` (the subdomains built).
+    and per first node) and ``groups`` (``subdomains_built``: the nodes that
+    build their row, from a subdomain or from the plan).
     """
     d = nodes.dim
     functionals = np.zeros((nodes.n, d, d, mls.basis_size(config.m, d)))
@@ -503,35 +644,41 @@ def _weak_rows(nodes, problem, config: SolverConfig, weak_rows, shared: bool,
     body = getattr(problem, "body", None) is not None
     build = (keys[weak] == weak) | ~plan.whole[weak] | body
     built, served = weak[build], weak[~build]
-    # the functional and subdomain measure of each key that serves a node
-    serving, inverse = np.unique(keys[served], return_inverse=True)
+    on_plan = built[plan.shape[built] == "box"] if method in ("dmlpg1", "dmlpg5") else built[:0]
+    per_node = np.setdiff1d(built, on_plan)
+    # the nodes that take their key's functional, and each key's functional
+    # and subdomain measure
+    takers = np.setdiff1d(weak, per_node)
+    serving, inverse = np.unique(keys[takers], return_inverse=True)
     firsts = dict.fromkeys(serving.tolist())
 
     def build_rows(pending, rules):
         tbar = np.empty((0, d))
-        if rules:
-            tbar = problem.traction(np.concatenate([r.points for r in rules]),
-                                    np.concatenate([r.normals for r in rules]))
-        batch = [(k, key, sub, tbar[span]) for k, key, sub, span in pending]
-        for (k, _, sub, _), row in zip(batch, weak_rows(nodes, batch, problem, config,
-                                                        counts)):
-            if isinstance(row, Exception):
-                failures[k] = row
-                continue
-            evals.append(row.shape_evals)
-            measure = sub.measure if config.scale_rows else 1.0
-            lam = row.lam / measure
-            lam[:, nodes.masks[k], :] = 0.0
-            if row.active is None:
-                functionals[k] = lam.transpose(1, 2, 0)
-            else:
-                explicit.append((k, row.active, lam))
-            rhs[d * k: d * k + d] = row.beta / measure
-            if k in firsts:
-                firsts[k] = row.lam, sub.measure
+        with stage("traction_s"):
+            if rules:
+                tbar = problem.traction(np.concatenate([r.points for r in rules]),
+                                        np.concatenate([r.normals for r in rules]))
+        with stage("rows_s"):
+            batch = [(k, key, sub, tbar[span]) for k, key, sub, span in pending]
+            for (k, _, sub, _), row in zip(batch, weak_rows(nodes, batch, problem, config,
+                                                            counts)):
+                if isinstance(row, Exception):
+                    failures[k] = row
+                    continue
+                evals.append(row.shape_evals)
+                measure = sub.measure if config.scale_rows else 1.0
+                lam = row.lam / measure
+                lam[:, nodes.masks[k], :] = 0.0
+                if row.active is None:
+                    functionals[k] = lam.transpose(1, 2, 0)
+                else:
+                    explicit.append((k, row.active, lam))
+                rhs[d * k: d * k + d] = row.beta / measure
+                if k in firsts:
+                    firsts[k] = row.lam, sub.measure
 
     pending, rules, points = [], [], 0
-    for k in built.tolist():
+    for k in per_node.tolist():
         with stage("subdomains_s"):
             try:
                 sub = build_subdomain(nodes.points[k], plan.shape[k], plan.size[k],
@@ -546,25 +693,33 @@ def _weak_rows(nodes, problem, config: SolverConfig, weak_rows, shared: bool,
                     points += rules[-1].weights.size
             pending.append((k, int(keys[k]), sub, slice(start, points)))
         if points >= TRACTION_BUDGET or len(pending) >= BATCH_NODES:
-            with stage("rows_s"):
-                build_rows(pending, rules)
+            build_rows(pending, rules)
             pending, rules, points = [], [], 0
+    build_rows(pending, rules)
+    if on_plan.size:
+        heads, lam, beta, box_failures = _box_rows(method, nodes, problem, config, plan,
+                                                   keys, on_plan, stage)
+        with stage("rows_s"):
+            failures.update(box_failures)
+            measure = np.prod(plan.hi - plan.lo, axis=1) if config.scale_rows else np.ones(nodes.n)
+            rhs.reshape(-1, d)[on_plan] = beta / measure[on_plan, None]
+            firsts.update((h, (lam[i], measure[h])) for i, h in enumerate(heads.tolist())
+                          if h in firsts)
     with stage("rows_s"):
-        build_rows(pending, rules)
         if failures:        # a key whose first node failed fails its other nodes
             failures.update((k, failures[int(keys[k])]) for k in served.tolist()
                             if int(keys[k]) in failures)
-        elif served.size:
-            # the other nodes of a key take its functional (the right-hand
-            # sides stay zero), scaled by the measures as the builders form them
+        elif takers.size:
+            # the functional of each node's key, scaled by the node's measure
+            # as the builders form it
             lam, measure = zip(*firsts.values())
             block = np.stack(lam).transpose(0, 2, 3, 1)[inverse]
             if config.scale_rows:
-                measures = np.where(plan.shape[served] == "ball", np.array(measure)[inverse],
-                                    np.prod(plan.hi[served] - plan.lo[served], axis=1))
+                measures = np.where(plan.shape[takers] == "ball", np.array(measure)[inverse],
+                                    np.prod(plan.hi[takers] - plan.lo[takers], axis=1))
                 block = block / measures[:, None, None, None]
-            block[nodes.masks[served]] = 0.0
-            functionals[served] = block
+            block[nodes.masks[takers]] = 0.0
+            functionals[takers] = block
     heads, members = np.unique(keys[weak], return_counts=True)
     hit_counts = {int(h): int(c) - 1 for h, c in zip(heads, members) if c > 1}
     return functionals, rhs, explicit, evals, failures, {
@@ -591,11 +746,11 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_rows,
     time spent on subdomains, weak rows, moment systems and the scatter.
     """
     d = nodes.dim
-    stage = StageTimer("subdomains_s", "rows_s", "moments_s", "scatter_s")
+    stage = StageTimer("subdomains_s", "rows_s", "traction_s", "moments_s", "scatter_s")
     t0 = time.perf_counter()
     classical = Counter(chunks=0, pairs=0, padded_pairs=0)
     functionals, rhs, explicit, evals, failures, keyed = _weak_rows(
-        nodes, problem, config, weak_rows, centred and config.cache, stage, classical)
+        nodes, problem, config, weak_rows, method, centred and config.cache, stage, classical)
     prescribed = np.flatnonzero(nodes.masks.any(axis=1))
     ubar = problem.dirichlet(nodes.points[prescribed])
     owner, comp = np.nonzero(nodes.masks[prescribed])

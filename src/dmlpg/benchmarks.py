@@ -42,9 +42,15 @@ class Problem:
         return self.exact_u(points)
 
     def traction(self, points, normals) -> np.ndarray:
+        """sigma n at each point: t_i sums sigma_ij n_j over the Voigt
+        components v of sigma in order, as the contraction with the strain
+        map rounds it."""
         sigma = self.exact_stress(points)
         tmap = ela.voigt_map(points.shape[1])
-        return np.einsum("vij,qj,qv->qi", tmap, normals, sigma)
+        out = np.zeros(np.shape(normals))
+        for v, i, j in zip(*np.nonzero(tmap)):
+            out[:, i] += normals[:, j] * sigma[:, v]
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -467,25 +467,34 @@ def _centre_planes(center, radius, geometry):
     return planes, curves, tol
 
 
+def box_clip_error(center, lo, hi, faces, crosses, geometry):
+    """The builder's objection to a box clipped by ``box_clip``, or None: the
+    box collapses, crosses a curve, or a bound plane with no boundary
+    condition clips it.  ``faces`` holds the (low, high) face flags."""
+    if (hi <= lo).any():
+        return UnsupportedClipError(f"box subdomain at {center} collapses under clipping")
+    if crosses:
+        return UnsupportedClipError(f"box subdomain at {center} crosses a curved boundary")
+    for axis in range(center.size):
+        for side in (-1, 1):
+            if faces[int(side > 0)][axis] and geometry.plane_bc(axis, side) is None:
+                return UnsupportedClipError(
+                    f"box subdomain at {center} clipped by a non-boundary plane")
+    return None
+
+
 def _build_box_subdomain(center, size, geometry) -> Subdomain:
     d = center.size
     lo, hi, faces, crosses = box_clip(center, size, geometry)
-    if (hi <= lo).any():
-        raise UnsupportedClipError(f"box subdomain at {center} collapses under clipping")
-    if crosses:
-        raise UnsupportedClipError(f"box subdomain at {center} crosses a curved boundary")
+    error = box_clip_error(center, lo, hi, faces, crosses, geometry)
+    if error is not None:
+        raise error
     faces = [f.tolist() for f in faces]
     pieces = []
     for axis in range(d):
         for side in (-1, 1):
             on_gamma = faces[side > 0][axis]
-            known = None
-            if on_gamma:
-                bc = geometry.plane_bc(axis, side)
-                if bc is None:
-                    raise UnsupportedClipError(
-                        f"box subdomain at {center} clipped by a non-boundary plane")
-                known = bc.traction_known
+            known = geometry.plane_bc(axis, side).traction_known if on_gamma else None
             extents = np.delete(hi - lo, axis)
             pieces.append(Piece(
                 "box-face", on_gamma, known, float(np.prod(extents)),
@@ -778,12 +787,6 @@ def generate_grid_nodes(counts, lengths, m: int = 2,
     return NodeSet(*out, mesh_size=h)
 
 
-def _snap(values: np.ndarray, tol: float) -> np.ndarray:
-    values = np.asarray(values, dtype=float).copy()
-    values[np.abs(values) < tol] = 0.0
-    return values
-
-
 def generate_plate_nodes(a: float, b: float, nr: int, ntheta: int,
                          grading: float = 1.0, m: int = 2,
                          near_factor: float = 2.0, far_factor: float = 2.5) -> NodeSet:
@@ -815,76 +818,66 @@ def generate_plate_nodes(a: float, b: float, nr: int, ntheta: int,
     max_level = 0
     while (ntheta - 1) % 2 ** (max_level + 1) == 0:
         max_level += 1
-
-    def level_for(k: int, r: float, gap: float) -> int:
-        level = 0
-        while level < max_level and r * dtheta * 2**level < gap / 1.4:
-            level += 1
-        return level
-
-    pts, tags, masks, spacing, support = [], [], [], [], []
-    for j in range(ntheta):
-        theta = j * dtheta
-        ct, st = math.cos(theta), math.sin(theta)
-        r_max = b / max(abs(ct), abs(st))
-        radii = [a]
-        step = h_r
-        while radii[-1] + step < r_max - 0.45 * step:
-            radii.append(radii[-1] + step)
-            step *= grading
-        radii.append(r_max)
-        gaps = [radii[k + 1] - radii[k] for k in range(len(radii) - 1)]
-        for k, r in enumerate(radii):
-            gap_prev = gaps[k - 1] if k > 0 else gaps[0]
-            gap_next = gaps[k] if k < len(gaps) else gap_prev
-            level = level_for(k, r, max(gap_prev, gap_next))
-            if j % 2**level:
-                continue
-            x = _snap(np.array([r * ct, r * st]), 1e-13 * b)
-            on_hole = k == 0
-            on_outer = k == len(radii) - 1
-            on_bottom = x[1] == 0.0
-            on_left = x[0] == 0.0
-            if on_left and on_bottom:
-                raise ValueError("degenerate plate node on both symmetry edges")
-            if on_left:
-                tag, mask = MIXED, (True, False)
-            elif on_bottom:
-                tag, mask = MIXED, (False, True)
-            elif on_hole or on_outer:
-                tag, mask = NEUMANN, (False, False)
-            else:
-                tag, mask = INTERIOR, (False, False)
-            arc = r * dtheta * 2**level
-            loc_min = min(gap_prev, gap_next, arc)
-            loc_max = max(gap_prev, gap_next, arc)
-            pts.append(x)
-            tags.append(tag)
-            masks.append(mask)
-            spacing.append(loc_min)
-            if loc_max <= near_spacing:
-                support.append(near_factor * m * h)
-            else:
-                support.append(far_factor * m * loc_max)
-    out = reorder_dirichlet_first(np.array(pts), np.array(tags), np.array(masks),
-                                  np.array(spacing), np.array(support))
+    rays = [(math.cos(j * dtheta), math.sin(j * dtheta)) for j in range(ntheta)]
+    r_max = [b / max(abs(ct), abs(st)) for ct, st in rays]
+    # the radial ladder every ray climbs until it nears its edge: ladder[i]
+    # steps by steps[i], and steps grow by the grading
+    ladder, steps = [a], [h_r]
+    while ladder[-1] + steps[-1] < max(r_max):
+        ladder.append(ladder[-1] + steps[-1])
+        steps.append(steps[-1] * grading)
+    ladder, steps = np.array(ladder), np.array(steps)
+    tol = 1e-13 * b
+    parts = []
+    for j, ((ct, st), edge) in enumerate(zip(rays, r_max)):
+        top = int(np.argmin(ladder + steps < edge - 0.45 * steps))
+        radii = np.append(ladder[:top + 1], edge)
+        gaps = np.diff(radii)
+        gap_prev, gap_next = np.r_[gaps[0], gaps], np.r_[gaps, gaps[-1]]
+        gap = np.maximum(gap_prev, gap_next)
+        # the coarsest ray spacing that still keeps up with the radial gap
+        level = np.zeros(radii.size, dtype=np.int64)
+        for lv in range(max_level):
+            level += (level == lv) & (radii * dtheta * 2**lv < gap / 1.4)
+        keep = j % 2**level == 0
+        x = np.column_stack([radii * ct, radii * st])[keep]
+        x[np.abs(x) < tol] = 0.0
+        on_left, on_bottom = x[:, 0] == 0.0, x[:, 1] == 0.0
+        if np.any(on_left & on_bottom):
+            raise ValueError("degenerate plate node on both symmetry edges")
+        edges = np.zeros(radii.size, dtype=bool)
+        edges[[0, -1]] = True
+        tags = np.where(on_left | on_bottom, MIXED,
+                        np.where(edges[keep], NEUMANN, INTERIOR))
+        arc = (radii * dtheta * 2**level)[keep]
+        loc_min = np.minimum(np.minimum(gap_prev[keep], gap_next[keep]), arc)
+        loc_max = np.maximum(np.maximum(gap_prev[keep], gap_next[keep]), arc)
+        support = np.where(loc_max <= near_spacing, near_factor * m * h,
+                           far_factor * m * loc_max)
+        parts.append((x, tags, np.column_stack([on_left, on_bottom]), loc_min, support))
+    out = reorder_dirichlet_first(*(np.concatenate(field) for field in zip(*parts)))
     return NodeSet(*out, mesh_size=h)
 
 
+def _octant_sphere_counts(nb: int) -> list:
+    """Point counts of the rings of the octant sphere grid, pole first."""
+    return [1] + [max(1, round(nb * math.sin(i * 0.5 * math.pi / nb))) + 1
+                  for i in range(1, nb + 1)]
+
+
 def _octant_sphere_points(rho: float, nb: int):
-    """Roughly uniform point grid on the first-octant sphere surface."""
-    pts = [np.array([0.0, 0.0, rho])]
-    for i in range(1, nb + 1):
+    """Roughly uniform point grid on the first-octant sphere surface: the
+    pole, then rings of polar angle beta, each from phi = 0 to pi/2."""
+    sin_b, cos_b, cos_p, sin_p = [0.0], [1.0], [1.0], [0.0]
+    for i, count in enumerate(_octant_sphere_counts(nb)[1:], start=1):
         beta = i * 0.5 * math.pi / nb
-        count = max(1, round(nb * math.sin(beta)))
-        for j in range(count + 1):
-            phi = j * 0.5 * math.pi / count
-            pts.append(np.array([
-                rho * math.sin(beta) * math.cos(phi),
-                rho * math.sin(beta) * math.sin(phi),
-                rho * math.cos(beta),
-            ]))
-    return np.array(pts)
+        phis = [j * 0.5 * math.pi / (count - 1) for j in range(count)]
+        sin_b += [math.sin(beta)] * count
+        cos_b += [math.cos(beta)] * count
+        cos_p += map(math.cos, phis)
+        sin_p += map(math.sin, phis)
+    ring = rho * np.array(sin_b)
+    return np.column_stack([ring * cos_p, ring * sin_p, rho * np.array(cos_b)])
 
 
 def _boussinesq_bands(nb0: int, n_layers: int, decay: float, floor: int, ratio: float):
@@ -915,7 +908,7 @@ def generate_boussinesq_nodes(b: float, r_inner: float, target: int,
         total = 0
         for nb in bands:
             if nb not in layer_counts:
-                layer_counts[nb] = len(_octant_sphere_points(1.0, nb))
+                layer_counts[nb] = sum(_octant_sphere_counts(nb))
             total += layer_counts[nb]
         return total
 
@@ -945,30 +938,23 @@ def generate_boussinesq_nodes(b: float, r_inner: float, target: int,
             break
     _, n_layers, bands = chosen or fallback
     radii = r_inner * ratio ** (np.arange(n_layers + 1) / n_layers)
-    pts, tags, masks, spacing, support = [], [], [], [], []
-    tol = 1e-13 * b
-    for l, (rho, nb) in enumerate(zip(radii, bands)):
-        layer = _snap(_octant_sphere_points(rho, nb), tol)
-        gap_prev = radii[l] - radii[l - 1] if l > 0 else radii[1] - radii[0]
-        gap_next = radii[l + 1] - radii[l] if l < n_layers else gap_prev
-        arc = rho * 0.5 * math.pi / nb
-        on_sphere = l == 0 or l == n_layers
-        for x in layer:
-            mask = [x[0] == 0.0, x[1] == 0.0, False]
-            if on_sphere:
-                tag, mask = DIRICHLET, [True, True, True]
-            elif any(mask):
-                tag = MIXED
-            elif x[2] == 0.0:
-                tag = NEUMANN
-            else:
-                tag = INTERIOR
-            pts.append(x)
-            tags.append(tag)
-            masks.append(mask)
-            spacing.append(min(gap_prev, gap_next, arc))
-            support.append(support_factor * m * max(gap_prev, gap_next, arc))
+    layers = [_octant_sphere_points(rho, nb) for rho, nb in zip(radii, bands)]
+    pts = np.concatenate(layers)
+    pts[np.abs(pts) < 1e-13 * b] = 0.0
+    gaps = np.diff(radii)
+    gap_prev, gap_next = np.r_[gaps[0], gaps], np.r_[gaps, gaps[-1]]
+    arc = radii * 0.5 * math.pi / np.array(bands)
+    sizes = [len(layer) for layer in layers]
+    spacing = np.repeat(np.minimum(np.minimum(gap_prev, gap_next), arc), sizes)
+    support = np.repeat(support_factor * m * np.maximum(np.maximum(gap_prev, gap_next), arc),
+                        sizes)
+    on_sphere = np.zeros(len(layers), dtype=bool)
+    on_sphere[[0, -1]] = True
+    on_sphere = np.repeat(on_sphere, sizes)
+    masks = np.column_stack([pts[:, :2] == 0.0, np.zeros(len(pts), dtype=bool)])
+    tags = np.where(masks.any(axis=1), MIXED, np.where(pts[:, 2] == 0.0, NEUMANN, INTERIOR))
+    tags[on_sphere] = DIRICHLET
+    masks[on_sphere] = True
     h = float(min(spacing))
-    out = reorder_dirichlet_first(np.array(pts), np.array(tags), np.array(masks),
-                                  np.array(spacing), np.array(support))
+    out = reorder_dirichlet_first(pts, tags, masks, spacing, support)
     return NodeSet(*out, mesh_size=h)

@@ -121,15 +121,19 @@ def _derivative_map(m: int, alpha: tuple) -> np.ndarray:
 
 
 class PolyBasis:
-    """Shifted-scaled monomials p_n(x) = ((x - center)/scale)^alpha."""
+    """Shifted-scaled monomials p_n(x) = ((x - center)/scale)^alpha.
 
-    def __init__(self, m: int, dim: int, center, scale: float):
-        if scale <= 0.0:
+    ``gradients`` also serves a stack of bases, centres (..., dim) and scales
+    (...), at points (..., P, dim).
+    """
+
+    def __init__(self, m: int, dim: int, center, scale):
+        if np.any(np.asarray(scale) <= 0.0):
             raise ValueError("basis scale must be positive")
         self.m = m
         self.dim = dim
         self.center = np.asarray(center, dtype=float)
-        self.scale = float(scale)
+        self.scale = float(scale) if np.ndim(scale) == 0 else np.asarray(scale, dtype=float)
         self.exponents = np.array(monomial_exponents(m, dim))
 
     @property
@@ -164,11 +168,12 @@ class PolyBasis:
         return out[0] if single else out
 
     def gradients(self, points) -> np.ndarray:
-        """First derivatives of all basis functions, shape (n, Q, d)."""
-        z = (np.atleast_2d(np.asarray(points, dtype=float)) - self.center) / self.scale
+        """First derivatives of all basis functions, shape (..., P, Q, d)."""
+        scale = np.asarray(self.scale)[..., None, None]
+        z = (np.atleast_2d(np.asarray(points, dtype=float)) - self.center[..., None, :]) / scale
         maps = _first_derivative_maps(self.m, self.dim)
         grads = monomials(z, self.m) @ maps.reshape(self.q, -1)
-        return grads.reshape(z.shape[0], self.q, self.dim) / self.scale
+        return grads.reshape(*z.shape[:-1], self.q, self.dim) / scale[..., None]
 
 
 def gaussian(r, eps: float):

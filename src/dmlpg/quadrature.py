@@ -71,18 +71,20 @@ def _reference_box(n: int, d: int):
 def rule_box(lo, hi, n_per_axis: int) -> QuadratureRule:
     """Tensor-product rule over an axis-aligned box given by corner arrays.
 
-    The cached reference grid is mapped axis by axis; each point's weight is
-    the product of its mapped 1D weights, taken in axis order.
+    The corners may be stacks (..., d): the rule's points are then (..., P, d)
+    and its weights (..., P), box by box.  The cached reference grid is
+    mapped axis by axis; each point's weight is the product of its mapped 1D
+    weights, taken in axis order.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    ref_pts, ref_wts = _reference_box(n_per_axis, lo.size)
-    half = 0.5 * (hi - lo)
-    pts = 0.5 * (hi + lo) + half * ref_pts
+    ref_pts, ref_wts = _reference_box(n_per_axis, lo.shape[-1])
+    half = 0.5 * (hi - lo)[..., None, :]
+    pts = 0.5 * (hi + lo)[..., None, :] + half * ref_pts
     axis_wts = half * ref_wts
-    wts = axis_wts[:, 0].copy()
-    for a in range(1, lo.size):
-        wts *= axis_wts[:, a]
+    wts = axis_wts[..., 0].copy()
+    for a in range(1, lo.shape[-1]):
+        wts *= axis_wts[..., a]
     return QuadratureRule(pts, wts)
 
 
@@ -90,23 +92,24 @@ def rule_box_face(lo, hi, axis: int, side: int, n_per_axis: int) -> QuadratureRu
     """Rule over one face of a box with the outward normal attached.
 
     ``axis`` selects the fixed coordinate and ``side`` is -1 (low face) or +1.
+    The corners may be stacks (..., d), as in ``rule_box``.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    d = lo.size
-    fixed = lo[axis] if side < 0 else hi[axis]
+    d = lo.shape[-1]
+    fixed = (lo if side < 0 else hi)[..., axis, None]
     free = [i for i in range(d) if i != axis]
     if free:
-        sub = rule_box(lo[free], hi[free], n_per_axis)
-        pts = np.empty((sub.points.shape[0], d))
-        pts[:, free] = sub.points
-        pts[:, axis] = fixed
+        sub = rule_box(lo[..., free], hi[..., free], n_per_axis)
+        pts = np.empty(sub.points.shape[:-1] + (d,))
+        pts[..., free] = sub.points
+        pts[..., axis] = fixed
         wts = sub.weights
     else:
-        pts = np.array([[fixed]])
-        wts = np.array([1.0])
+        pts = fixed[..., None].copy()
+        wts = np.ones(pts.shape[:-1])
     normals = np.zeros_like(pts)
-    normals[:, axis] = float(side)
+    normals[..., axis] = float(side)
     return QuadratureRule(pts, wts, normals=normals)
 
 

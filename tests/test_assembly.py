@@ -142,7 +142,7 @@ def test_stage_timers_cover_the_assembly(beam):
     problem, nodes = beam
     stats = asm.assemble(nodes, problem, "dmlpg5").stats
     stages = stats["stages"]
-    assert set(stages) == {"subdomains_s", "rows_s", "moments_s", "scatter_s"}
+    assert set(stages) == {"subdomains_s", "rows_s", "traction_s", "moments_s", "scatter_s"}
     assert all(t > 0.0 for t in stages.values())
     assert sum(stages.values()) <= stats["t_assemble"]
 

@@ -111,7 +111,7 @@ def test_solve_summary_carries_solver_stats(manufactured_cfg):
     assert solver["fill"] == n_dof * n_dof
     assert solver["t_factor"] > 0.0 and solver["t_condest"] > 0.0
     stages = summary["results"]["stages"]
-    assert set(stages) == {"subdomains_s", "rows_s", "moments_s", "scatter_s"}
+    assert set(stages) == {"subdomains_s", "rows_s", "traction_s", "moments_s", "scatter_s"}
     assert all(t > 0.0 for t in stages.values())
     results = summary["results"]
     assert set(results["groups"]) == {"subdomains_built"}
@@ -167,7 +167,7 @@ def test_solve_summary_solver_times_zeroed_without_record_times(manufactured_cfg
     assert solver["fill"] > 0
     assert solver["precision"] == "single" and solver["refine_steps"] >= 1
     assert results["stages"] == dict.fromkeys(
-        ("subdomains_s", "rows_s", "moments_s", "scatter_s"), 0.0)
+        ("subdomains_s", "rows_s", "traction_s", "moments_s", "scatter_s"), 0.0)
 
 
 def test_study_csv_schema(tmp_path):
