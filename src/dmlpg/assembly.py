@@ -465,20 +465,20 @@ def assemble(nodes, problem, method: str = "dmlpg1",
     config = config or SolverConfig()
     if method not in ("dmlpg1", "dmlpg5"):
         raise ValueError(f"unknown direct method {method!r}")
-    row_builder = dmlpg1_row if method == "dmlpg1" else dmlpg5_row
-    return _assemble(nodes, problem, method, config, partial(_node_rows, row_builder, {}),
-                     centred=True)
+    if config.m < 2:    # every interior row would vanish: int grad(v) = 0 = closed int n
+        raise ValueError(f"the direct methods need a basis of degree m >= 2, not {config.m}")
+    return _assemble(nodes, problem, method, config)
 
 
-def _node_rows(row_builder, lambdas, nodes, batch, problem, config, counts) -> list:
+def _node_rows(row_builder, table, nodes, batch, problem, config, counts) -> list:
     """The row kernel of a direct method: ``row_builder`` node by node.  A row
-    takes its key's functional from ``lambdas``, or builds and stores it."""
+    takes its key's functional from the key ``table``, or builds and stores it."""
     rows = []
     for k, key, sub, tractions in batch:
         try:
             row = row_builder(k, sub, problem, config, float(nodes.support[k]),
-                              ~nodes.masks[k], lambdas.get(key), tractions)
-            lambdas.setdefault(key, row.lam)
+                              ~nodes.masks[k], table.get(key), tractions)
+            table.setdefault(key, row.lam)
         except (UnsupportedClipError, mls.NodeDeficiencyError) as err:
             row = err
         rows.append(row)
@@ -609,48 +609,50 @@ def _box_boundary_functionals(lo, hi, faces, known, basis, dmat, tmap, n: int):
     return lam
 
 
-def _weak_rows(nodes, problem, config: SolverConfig, weak_rows, method: str, shared: bool,
+def _weak_rows(nodes, problem, config: SolverConfig, method: str, weak_rows,
                stage: StageTimer, counts: dict):
-    """The weak rows of the node loop.  The row kernel ``weak_rows(nodes,
-    batch, problem, config, counts)`` maps a batch of ``(node, key,
-    subdomain, tractions)`` to each node's ``FunctionalRow`` or error.
+    """The weak rows of the node loop.  The classical row kernel
+    ``weak_rows(nodes, batch, problem, config, counts)`` (the direct methods'
+    is ``_node_rows``) maps a batch of ``(node, key, subdomain, tractions)``
+    to each node's ``FunctionalRow`` or error.
 
     ``plan_subdomains`` sizes every subdomain in one pass and
-    ``_functional_keys`` keys it (``shared``: the direct methods with the
-    cache on).  A node builds its row when it is the first node of its key,
-    its subdomain is not whole, or there is a body force; any other node
-    takes its key's functional and a zero right-hand side.  The direct
-    methods build their box rows from the plan in one array pass
-    (``_box_rows``).  Every other row builds its subdomain, in node order, in
-    batches that share one ``problem.traction`` call (``TRACTION_BUDGET``,
-    ``BATCH_NODES``), of which ``tractions`` is the node's slice.
+    ``_functional_keys`` keys it (the direct methods with the cache on).  A
+    node builds its row when it is the first node of its key, its subdomain
+    is not whole, or there is a body force; any other node gets a zero
+    right-hand side.  The direct methods build their box rows from the plan
+    in one array pass (``_box_rows``), and every other row from its built
+    subdomain, in node order, in batches that share one ``problem.traction``
+    call (``TRACTION_BUDGET``, ``BATCH_NODES``), of which ``tractions`` is
+    the node's slice.  Both paths store a direct key's functional in one key
+    table, which one fan-out hands to every weak node of the key.  With
+    ``scale_rows`` a row is divided by its subdomain's measure: a box's from
+    the plan, a built disk's or ball's, or a served one's key's.
 
     Returns the node-centred functionals (n, d, d, Q), the right-hand side,
     the explicit ``(node, active, blocks)`` rows of the classical kernels,
     each subdomain-built row's shape-evaluation count, the failures {node:
-    error} and the stats: ``cache_misses`` (the keys, 0 without ``shared``),
+    error} and the stats: ``cache_misses`` (the keys, 0 without sharing),
     ``cache_hits`` and ``cache_hit_counts`` (a key's other nodes, in total
     and per first node) and ``groups`` (``subdomains_built``: the nodes that
     build their row, from a subdomain or from the plan).
     """
     d = nodes.dim
+    direct = method in ("dmlpg1", "dmlpg5")
     functionals = np.zeros((nodes.n, d, d, mls.basis_size(config.m, d)))
-    rhs = np.zeros(nodes.n * d)
-    evals, explicit, failures = [], [], {}
+    rhs = np.zeros((nodes.n, d))
+    evals, explicit, failures, table = [], [], {}, {}
+    if direct:
+        weak_rows = partial(_node_rows, dmlpg1_row if method == "dmlpg1" else dmlpg5_row, table)
     weak = np.flatnonzero(nodes.tags != DIRICHLET)
     with stage("subdomains_s"):
         plan = plan_subdomains(nodes.points, nodes.spacing, problem.geometry, config)
-        keys = _functional_keys(plan, nodes, weak, shared)
+        keys = _functional_keys(plan, nodes, weak, direct and config.cache)
+    scale = np.prod(plan.hi - plan.lo, axis=1) if config.scale_rows else np.ones(nodes.n)
     body = getattr(problem, "body", None) is not None
     build = (keys[weak] == weak) | ~plan.whole[weak] | body
     built, served = weak[build], weak[~build]
-    on_plan = built[plan.shape[built] == "box"] if method in ("dmlpg1", "dmlpg5") else built[:0]
-    per_node = np.setdiff1d(built, on_plan)
-    # the nodes that take their key's functional, and each key's functional
-    # and subdomain measure
-    takers = np.setdiff1d(weak, per_node)
-    serving, inverse = np.unique(keys[takers], return_inverse=True)
-    firsts = dict.fromkeys(serving.tolist())
+    on_plan = built[plan.shape[built] == "box"] if direct else built[:0]
 
     def build_rows(pending, rules):
         tbar = np.empty((0, d))
@@ -666,19 +668,16 @@ def _weak_rows(nodes, problem, config: SolverConfig, weak_rows, method: str, sha
                     failures[k] = row
                     continue
                 evals.append(row.shape_evals)
-                measure = sub.measure if config.scale_rows else 1.0
-                lam = row.lam / measure
-                lam[:, nodes.masks[k], :] = 0.0
-                if row.active is None:
-                    functionals[k] = lam.transpose(1, 2, 0)
-                else:
+                rhs[k] = row.beta
+                if config.scale_rows:
+                    scale[k] = sub.measure
+                if row.active is not None:
+                    lam = row.lam / scale[k]
+                    lam[:, nodes.masks[k], :] = 0.0
                     explicit.append((k, row.active, lam))
-                rhs[d * k: d * k + d] = row.beta / measure
-                if k in firsts:
-                    firsts[k] = row.lam, sub.measure
 
     pending, rules, points = [], [], 0
-    for k in per_node.tolist():
+    for k in np.setdiff1d(built, on_plan).tolist():
         with stage("subdomains_s"):
             try:
                 sub = build_subdomain(nodes.points[k], plan.shape[k], plan.size[k],
@@ -697,39 +696,34 @@ def _weak_rows(nodes, problem, config: SolverConfig, weak_rows, method: str, sha
             pending, rules, points = [], [], 0
     build_rows(pending, rules)
     if on_plan.size:
-        heads, lam, beta, box_failures = _box_rows(method, nodes, problem, config, plan,
-                                                   keys, on_plan, stage)
-        with stage("rows_s"):
-            failures.update(box_failures)
-            measure = np.prod(plan.hi - plan.lo, axis=1) if config.scale_rows else np.ones(nodes.n)
-            rhs.reshape(-1, d)[on_plan] = beta / measure[on_plan, None]
-            firsts.update((h, (lam[i], measure[h])) for i, h in enumerate(heads.tolist())
-                          if h in firsts)
+        heads, lam, rhs[on_plan], box_failures = _box_rows(method, nodes, problem, config,
+                                                           plan, keys, on_plan, stage)
+        failures.update(box_failures)
+        table.update(zip(heads.tolist(), lam))
     with stage("rows_s"):
+        balls = served[plan.shape[served] == "ball"]
+        scale[balls] = scale[keys[balls]]
+        rhs[weak] /= scale[weak, None]
+        heads, inverse, members = np.unique(keys[weak], return_inverse=True, return_counts=True)
         if failures:        # a key whose first node failed fails its other nodes
             failures.update((k, failures[int(keys[k])]) for k in served.tolist()
                             if int(keys[k]) in failures)
-        elif takers.size:
-            # the functional of each node's key, scaled by the node's measure
-            # as the builders form it
-            lam, measure = zip(*firsts.values())
-            block = np.stack(lam).transpose(0, 2, 3, 1)[inverse]
-            if config.scale_rows:
-                measures = np.where(plan.shape[takers] == "ball", np.array(measure)[inverse],
-                                    np.prod(plan.hi[takers] - plan.lo[takers], axis=1))
-                block = block / measures[:, None, None, None]
-            block[nodes.masks[takers]] = 0.0
-            functionals[takers] = block
-    heads, members = np.unique(keys[weak], return_counts=True)
+        elif direct and weak.size:
+            block = np.stack([table[h] for h in heads.tolist()]).transpose(0, 2, 3, 1)[inverse]
+            block /= scale[weak, None, None, None]
+            block[nodes.masks[weak]] = 0.0
+            functionals[weak] = block
     hit_counts = {int(h): int(c) - 1 for h, c in zip(heads, members) if c > 1}
-    return functionals, rhs, explicit, evals, failures, {
-        "cache_hits": sum(hit_counts.values()), "cache_misses": int(heads.size) if shared else 0,
+    return functionals, rhs.reshape(-1), explicit, evals, failures, {
+        "cache_hits": sum(hit_counts.values()),
+        "cache_misses": int(heads.size) if direct and config.cache else 0,
         "cache_hit_counts": hit_counts, "groups": {"subdomains_built": int(built.size)}}
 
 
-def _assemble(nodes, problem, method: str, config: SolverConfig, weak_rows,
-              centred: bool) -> GlobalSystem:
-    """The node loop of every method; ``weak_rows`` is the per-method kernel.
+def _assemble(nodes, problem, method: str, config: SolverConfig,
+              weak_rows=None) -> GlobalSystem:
+    """The node loop of every method; ``weak_rows`` is the classical row
+    kernel, None for the direct methods.
 
     Dirichlet nodes become collocation block rows, mixed nodes keep weak rows
     only for their unprescribed components, and all remaining nodes
@@ -738,11 +732,11 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_rows,
     i is the functional e_0 (the value at the node) on the diagonal block
     (i, i) of the basis centred at the node.  One batched GMLS solve
     (``mls.gmls_batch``) turns the node-centred functionals into matrix
-    entries.  It runs over every node when the kernel's rows are node-centred
-    (``centred``, the direct methods), and otherwise over the nodes with a
-    prescribed component only.  Every failing node is reported, in node
-    order, in one ``AssemblyError``; a deficient moment matrix takes
-    precedence over the node's row error.  ``stats["stages"]`` holds the wall
+    entries.  It runs over every node in the direct methods, whose rows are
+    all node-centred, and otherwise over the nodes with a prescribed
+    component only.  Every failing node is reported, in node order, in one
+    ``AssemblyError``; a deficient moment matrix takes precedence over the
+    node's row error.  ``stats["stages"]`` holds the wall
     time spent on subdomains, weak rows, moment systems and the scatter.
     """
     d = nodes.dim
@@ -750,14 +744,14 @@ def _assemble(nodes, problem, method: str, config: SolverConfig, weak_rows,
     t0 = time.perf_counter()
     classical = Counter(chunks=0, pairs=0, padded_pairs=0)
     functionals, rhs, explicit, evals, failures, keyed = _weak_rows(
-        nodes, problem, config, weak_rows, method, centred and config.cache, stage, classical)
+        nodes, problem, config, method, weak_rows, stage, classical)
     prescribed = np.flatnonzero(nodes.masks.any(axis=1))
     ubar = problem.dirichlet(nodes.points[prescribed])
     owner, comp = np.nonzero(nodes.masks[prescribed])
     functionals[prescribed[owner], comp, comp, 0] = 1.0
     rhs[d * prescribed[owner] + comp] = ubar[owner, comp]
     # a slice keeps the direct path's inputs views, not copies
-    take = slice(None) if centred else np.flatnonzero(nodes.masks.any(axis=1))
+    take = slice(None) if method in ("dmlpg1", "dmlpg5") else prescribed
     centres = np.arange(nodes.n)[take]
     with stage("moments_s"):
         moments = mls.gmls_batch(

@@ -381,10 +381,17 @@ class Subdomain:
     shape: str                  # "box" or "ball"
     size: float                 # side length (box) or radius (ball)
     pieces: list
-    measure: float
+    _measure: object            # the measure, or a function that gives it
     bounding_radius: float
     curved_clip: bool = False
     _interior_builder: object = field(default=None, repr=False)
+
+    @property
+    def measure(self) -> float:
+        """Area or volume; a function's value is taken on first read."""
+        if callable(self._measure):
+            self._measure = self._measure()
+        return self._measure
 
     def interior_rule(self, n: int) -> quad.QuadratureRule:
         """Interior rule; ``n`` is points per axis (box) or per direction (ball)."""
@@ -504,7 +511,7 @@ def _build_box_subdomain(center, size, geometry) -> Subdomain:
     reach = np.maximum(np.abs(lo - center), np.abs(hi - center))
     return Subdomain(
         center=center, shape="box", size=size, pieces=pieces,
-        measure=float(np.prod(hi - lo)),
+        _measure=float(np.prod(hi - lo)),
         bounding_radius=float(np.linalg.norm(reach)),
         _interior_builder=(lambda n, lo=lo.copy(), hi=hi.copy():
                            quad.rule_box(lo, hi, n)),
@@ -642,13 +649,12 @@ def _build_disk_subdomain(center, radius, geometry) -> Subdomain:
         return quad.rule_polar(c, [(a, b, rlo, lambda th: np.full_like(th, r))
                                    for a, b, rlo in segs], n, n)
 
-    if hole is None:
-        measure = 0.5 * radius**2 * sum(b - a for a, b, _ in segments)
-    else:
-        measure = float(np.sum(interior(40).weights))
+    # a hole disk's measure is summed from a fine rule, when it is read
+    measure = (0.5 * radius**2 * sum(b - a for a, b, _ in segments) if hole is None
+               else lambda: float(np.sum(interior(40).weights)))
     return Subdomain(
         center=center, shape="ball", size=radius, pieces=pieces,
-        measure=measure,
+        _measure=measure,
         bounding_radius=radius,
         curved_clip=hole is not None,
         _interior_builder=interior,
@@ -707,7 +713,7 @@ def _build_ball_subdomain(center, radius, geometry) -> Subdomain:
     measure = 4.0 / 3.0 * math.pi * radius**3 * fraction
     return Subdomain(
         center=center, shape="ball", size=radius, pieces=pieces,
-        measure=measure,
+        _measure=measure,
         bounding_radius=radius,
         _interior_builder=(lambda n, c=center.copy(), r=radius, p=polar, a=azim:
                            quad.rule_spherical(c, r, p, a, n, n)),

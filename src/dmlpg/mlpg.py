@@ -126,8 +126,7 @@ def assemble_mlpg(nodes, problem, variant: str = "mlpg1",
     config = config or SolverConfig()
     if variant not in ("mlpg1", "mlpg5"):
         raise ValueError(f"unknown classical variant {variant!r}")
-    return _assemble(nodes, problem, variant, config, partial(_classical_rows, variant),
-                     centred=False)
+    return _assemble(nodes, problem, variant, config, partial(_classical_rows, variant))
 
 
 def _chunks(npts, nuni) -> list:

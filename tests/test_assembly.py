@@ -291,6 +291,16 @@ def test_patch_2d_squares(method, degree):
     assert system.stats["residual"] < 1e-10
 
 
+@pytest.mark.parametrize("method", ["dmlpg1", "dmlpg5"])
+def test_direct_methods_reject_a_linear_basis(method, monkeypatch):
+    # every interior row would be zero, and the solve would find the system
+    # singular; the classical methods still solve at m = 1
+    problem, nodes = bm.BeamProblem(), geo.generate_beam_nodes(17, 5, 8.0, 1.0, m=1)
+    monkeypatch.setattr(asm, "plan_subdomains", None)     # no work before the check
+    with pytest.raises(ValueError, match="m >= 2"):
+        asm.assemble(nodes, problem, method, asm.SolverConfig(m=1))
+
+
 def test_solve_residual_reported(beam):
     problem, nodes = beam
     system = asm.assemble(nodes, problem, "dmlpg1", asm.SolverConfig())

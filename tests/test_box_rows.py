@@ -10,7 +10,6 @@ of a hole.
 
 import itertools
 from collections import Counter
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -166,7 +165,7 @@ def test_weak_rows_take_the_box_rows_as_the_node_loop_did(d, method, scale_rows)
                                 support=2.5 * spacing[healthy], masks=masks[healthy],
                                 tags=np.full(len(healthy), geo.NEUMANN))
         functionals, rhs, _, _, failures, _ = asm._weak_rows(
-            nodes, problem, config, partial(asm._node_rows, row_builder, {}), method, False,
+            nodes, problem, config, method, None,
             asm.StageTimer("subdomains_s", "rows_s", "traction_s"), Counter())
         assert not failures
         for k in range(nodes.n):

@@ -38,14 +38,21 @@ def _policy_oracle(k, nodes, geometry, config):
 
 
 def _cloud(name):
-    """(problem, nodes, method, config) of a test cloud; beam-box is the beam on boxes."""
-    problem, nodes, method, config, _ = _case(name.split("-")[0])
-    if name == "beam-box":
-        config = asm.SolverConfig(shape="box")
+    """(problem, nodes, method, config) of a test cloud: a ``_case`` name, then
+    optionally a shape ("beam-box": the beam on boxes) and a method."""
+    base, *changes = name.split("-")
+    problem, nodes, method, config, _ = _case(base)
+    for change in changes:
+        if change in ("box", "ball"):
+            config = asm.SolverConfig(shape=change)
+        else:
+            method = change
     return problem, nodes, method, config
 
 
 CLOUDS = ("beam", "beam-box", "plate", "shell", "jittered")
+# DMLPG5 on disks, and 3D balls clipped by the symmetry planes
+BALL_CLOUDS = ("beam-dmlpg5", "shell-ball-dmlpg1", "shell-ball-dmlpg5")
 
 
 def _per_node_loop(nodes, problem, method, config):
@@ -125,7 +132,7 @@ def test_plan_matches_the_per_node_policy(name):
 
 
 @pytest.mark.parametrize("scale_rows", [False, True])
-@pytest.mark.parametrize("name", CLOUDS)
+@pytest.mark.parametrize("name", CLOUDS + BALL_CLOUDS)
 def test_grouped_assembly_is_bit_identical_to_the_per_node_loop(name, scale_rows):
     problem, nodes, method, config = _cloud(name)
     config = asm.SolverConfig(**{**config.__dict__, "scale_rows": scale_rows})

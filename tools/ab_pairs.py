@@ -1,19 +1,24 @@
-"""Alternating A/B pairs of the benchmark: a parent revision against the working tree.
+"""Alternating A/B pairs of the benchmark: a parent revision against a change.
 
 Usage (from the repository root)::
 
     python3 tools/ab_pairs.py --parent HEAD~1 --workload shell-dmlpg5 \\
         --pairs 10 --first-seed 2001 --seconds 20 --out BENCH_20.json
+    python3 tools/ab_pairs.py --parent HEAD --change HEAD --workload all \\
+        --out BENCH_21.json                      # the A/A control
 
 For each seed S, ``perfbench/run.py --workload W --seconds T --seed S --trace 0``
 runs once on a ``git archive`` copy of the parent revision and once on the
-working tree (uncommitted changes included), each in its own process: odd
-seeds run the parent first, even seeds the change.  ``--workload`` may repeat;
-``all`` means the four workloads.  The output file gets, per workload and per
+change, each in its own process: odd seeds run the parent first, even seeds
+the change.  The change is the working tree (uncommitted changes included),
+or a ``git archive`` copy of ``--change``.  ``--workload`` may repeat; ``all``
+means the four workloads.  The output file gets, per workload and per
 end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles (the
 25th and 75th percentiles of its runs), the number of pairs in which the
-change read lower, and the ratio of the medians (change over parent).  An
-existing output file keeps the workloads that this run does not measure.
+change read lower, and the ratio of the medians (change over parent).  When
+both sides are the same commit (an A/A run, whose spread is the host's noise),
+the workloads go under ``aa_control`` instead of ``workloads``.  An existing
+output file keeps the workloads that this run does not measure.
 """
 
 from __future__ import annotations
@@ -33,6 +38,11 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("beam-dmlpg1", "beam-mlpg1", "plate-dmlpg1", "shell-dmlpg5")
+
+
+def commit(rev: str) -> str:
+    return subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                          capture_output=True, text=True, check=True).stdout.strip()
 
 
 def extract(rev: str, into: Path) -> Path:
@@ -84,6 +94,7 @@ def host() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="the revision to compare against")
+    parser.add_argument("--change", help="the revision to compare (default: the working tree)")
     parser.add_argument("--workload", action="append", required=True,
                         choices=WORKLOADS + ("all",))
     parser.add_argument("--pairs", type=int, default=10)
@@ -95,10 +106,15 @@ def main(argv=None) -> int:
     workloads = WORKLOADS if "all" in args.workload else tuple(dict.fromkeys(args.workload))
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
-    report = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
+    parent = commit(args.parent)
+    change = commit(args.change) if args.change else "working tree"
+    section = "aa_control" if change == parent else "workloads"
+    report = json.loads(args.out.read_text()) if args.out.exists() else {}
+    report.setdefault(section, {})
     report.update(description=args.description or report.get("description", ""), host=host())
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {"parent": extract(args.parent, Path(tmp)), "change": ROOT}
+        trees = {"parent": extract(parent, Path(tmp) / "parent"),
+                 "change": extract(change, Path(tmp) / "change") if args.change else ROOT}
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for seed in seeds:
@@ -107,7 +123,8 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: " + " ".join(
                         f"{k}={v['value']:.6g}" for k, v in runs[side][-1]["metrics"].items()),
                         flush=True)
-            report["workloads"][workload] = summarise(runs, seeds, metrics)
+            report[section][workload] = {"parent": parent, "change": change,
+                                         **summarise(runs, seeds, metrics)}
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
