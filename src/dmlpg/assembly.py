@@ -802,9 +802,9 @@ COND_ALERT = 1e14
 # 3D shell's matrix is about 16% dense; the 2D beams and plate at benchmark
 # sizes are 1-3% dense.
 DENSE_DENSITY = 0.05
-# Factor precisions ``solve`` tries in order, up to float64.  A lower
+# Factor precisions ``solve`` tries in order, ending with float64.  A lower
 # precision is kept only when float64 refinement certifies its solution;
-# float64 is always the fallback.  ``(np.float64,)`` forces double.
+# ``(np.float64,)`` forces double.
 FACTOR_DTYPES = (np.float32, np.float64)
 # refinement stops after REFINE_STEPS corrections; a lower-precision solution
 # is accepted at a relative residual of REFINE_TOL or below on every column
@@ -824,27 +824,26 @@ def solve(system: GlobalSystem) -> np.ndarray:
     estimates are in the 1-norm, with ``||A||_1`` taken from the sparse matrix,
     and come from the accepted factor.
 
-    A float32 factor (each ``FACTOR_DTYPES`` entry below float64) is refined
-    in float64 on b and a fixed random probe g together: each step adds the
-    low-precision solve of the residual ``[b, g] - A @ X``, until the larger
-    relative residual fails to halve or after ``REFINE_STEPS`` corrections.
-    g weighs every mode of the matrix, so it stalls on near-singular systems
-    where b alone may converge.  The result is accepted only if both columns
-    end at or below ``REFINE_TOL`` and the condition estimate is at most
-    ``COND_ALERT``; otherwise the factor is dropped and float64 factors and
-    solves without refinement.
+    Each ``FACTOR_DTYPES`` entry in turn factors the matrix and solves b and
+    a fixed random probe g as one block (``_certified_solve``).  g weighs
+    every mode of the matrix.  Below float64 the block is refined in float64
+    and must reach ``REFINE_TOL`` on both columns, and every precision must
+    keep the condition estimate at most ``COND_ALERT``.  A lower precision
+    that fails hands over to the next; at float64 an exactly singular factor,
+    a non-finite solution or a condition estimate above ``COND_ALERT`` (e.g.
+    duplicated nodes making rows and columns coincide) raises
+    ``SingularSystemError`` rather than returning an arbitrary solution.  Above
+    ``COND_ALERT`` the message names the nodes where A^-1 g, and so the
+    weakest mode, peaks.
 
-    On the float64 path an exactly singular factor, a non-finite solution, or
-    a condition estimate above ``COND_ALERT`` (e.g. duplicated nodes making
-    rows and columns coincide) raises ``SingularSystemError`` rather than
-    returning an arbitrary solution; above ``COND_ALERT`` the message names
-    the nodes where A^-1 g, and so the weakest mode, peaks.  The stats
-    receive the relative ``residual`` of b, the ``condition_estimate`` and
-    ``solver``: the ``backend`` ("dense-lu" or "sparse-lu"), the ``precision``
-    ("single" or "double") and ``refine_steps`` of the accepted solve,
-    ``t_factor`` (factoring, solving and refining with every factor tried),
-    ``t_condest`` and ``fill``, the stored factor entries (n^2 dense;
-    SuperLU's ``nnz`` sparse).
+    The stats receive the relative ``residual`` of b, the
+    ``condition_estimate`` and ``solver``: the ``backend`` ("dense-lu" or
+    "sparse-lu"), the ``precision`` ("single" or "double") and
+    ``refine_steps`` of the accepted solve, ``fallback`` (None, or why the
+    last lower-precision factor was dropped), ``t_factor`` (factoring,
+    solving and refining with every factor tried), ``t_condest`` and
+    ``fill``, the stored factor entries (n^2 dense; SuperLU's ``nnz``
+    sparse).
     """
     t0 = time.perf_counter()
     mat = system.matrix
@@ -854,90 +853,75 @@ def solve(system: GlobalSystem) -> np.ndarray:
         raise SingularSystemError("matrix has non-finite entries")
     backend = "dense-lu" if mat.nnz >= DENSE_DENSITY * n * n else "sparse-lu"
     factor = _dense_lu if backend == "dense-lu" else _sparse_lu
-    probe = np.random.default_rng(0).standard_normal(n)
+    b = np.column_stack([system.rhs, np.random.default_rng(0).standard_normal(n)])
     t1 = time.perf_counter()
-    solved = None
+    fallback = None
     for dtype in FACTOR_DTYPES:
-        if dtype == np.float64:
+        solved = _certified_solve(factor, mat, b, anorm, dtype, backend, system.dim)
+        if not isinstance(solved, str):
             break
-        solved = _refined_solve(factor, mat, system.rhs, probe, anorm, dtype)
-        if solved is not None:
-            break
-    if solved is None:
-        solved = _double_solve(factor, mat, system.rhs, probe, anorm, backend,
-                               system.dim)
-    u, residual, cond, solver = solved
+        fallback = solved
+    x, residual, cond, solver = solved
     t_factor = time.perf_counter() - t1 - solver["t_condest"]
     system.stats["t_solve"] = time.perf_counter() - t0
     system.stats["residual"] = residual
     system.stats["condition_estimate"] = float(cond)
-    system.stats["solver"] = {"backend": backend, **solver, "t_factor": t_factor}
-    return u
+    system.stats["solver"] = {"backend": backend, **solver, "fallback": fallback,
+                              "t_factor": t_factor}
+    return x[:, 0].copy()
 
 
-def _refined_solve(factor, mat, rhs, probe, anorm, dtype):
-    """(u, residual, cond, solver stats) from a ``dtype`` factor refined in
-    float64, or None when it is singular or refinement does not certify it."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", LinAlgWarning)
-        try:
-            inverse, condest, fill = factor(mat, dtype)
-        except (LinAlgWarning, RuntimeError):
-            return None
-    b = np.column_stack([rhs, probe])
-    norms = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
-    x = inverse(b).astype(np.float64)
-    r = b - mat @ x
-    rel = np.linalg.norm(r, axis=0) / norms
-    steps = 0
-    while steps < REFINE_STEPS and np.isfinite(rel).all():
-        x_next = x + inverse(r)
-        r_next = b - mat @ x_next
-        rel_next = np.linalg.norm(r_next, axis=0) / norms
-        if not rel_next.max() <= 0.5 * rel.max():
-            break
-        x, r, rel = x_next, r_next, rel_next
-        steps += 1
-    if not np.all(rel <= REFINE_TOL):
-        return None
-    t1 = time.perf_counter()
-    cond = condest(anorm)
-    t_condest = time.perf_counter() - t1
-    if not cond <= COND_ALERT:
-        return None
-    return x[:, 0].copy(), float(rel[0]), cond, {
-        "precision": "single", "refine_steps": steps, "t_condest": t_condest,
-        "fill": int(fill)}
+def _certified_solve(factor, mat, b, anorm, dtype, backend: str, dim: int):
+    """(X, relative residual of b, cond, solver stats) of ``A X = b`` from
+    one ``dtype`` factor, refined in float64 below float64.  A factor that
+    fails a check is dropped with the reason: below float64 the reason is
+    returned, at float64 it is raised as ``SingularSystemError``."""
+    double = dtype == np.float64
 
+    def reject(reason):
+        if double:
+            raise SingularSystemError(reason) from None
+        return reason
 
-def _double_solve(factor, mat, rhs, probe, anorm, backend, dim):
-    """(u, residual, cond, solver stats) from a float64 factor; raises
-    ``SingularSystemError`` when the system is singular or near it."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
-            inverse, condest, fill = factor(mat, np.float64)
-            u = inverse(rhs)
+            inverse, condest, fill = factor(mat, dtype)
+            x = inverse(b).astype(np.float64, copy=False)
         except (LinAlgWarning, spla.MatrixRankWarning, RuntimeError) as err:
-            raise SingularSystemError(f"{backend} factorization failed: {err}") from None
-    if not np.all(np.isfinite(u)):
-        raise SingularSystemError("factorization produced non-finite values")
+            return reject(f"{backend} factorization failed: {err}")
+    if not np.isfinite(x).all():
+        return reject("factorization produced non-finite values")
+    norms = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+    r = b - mat @ x
+    rel = np.linalg.norm(r, axis=0) / norms
+    steps = 0
+    if not double:
+        while steps < REFINE_STEPS and np.isfinite(rel).all():
+            x_next = x + inverse(r)
+            r_next = b - mat @ x_next
+            rel_next = np.linalg.norm(r_next, axis=0) / norms
+            if not rel_next.max() <= 0.5 * rel.max():
+                break
+            x, r, rel = x_next, r_next, rel_next
+            steps += 1
+        if not np.all(rel <= REFINE_TOL):
+            return (f"refinement stopped after {steps} steps at relative residuals "
+                    f"{rel[0]:.2e} (b) and {rel[1]:.2e} (g), above {REFINE_TOL:.0e}")
     t1 = time.perf_counter()
     cond = condest(anorm)
     t_condest = time.perf_counter() - t1
-    if cond > COND_ALERT:
-        # one inverse-iteration step: A^-1 of a generic vector leans on the
-        # weakest mode, so its largest entries name the nodes that carry it
-        weak = np.abs(inverse(probe))
-        peaks = np.argsort(weak.reshape(-1, dim).max(axis=1))[::-1][:3]
-        raise SingularSystemError(
+    if not cond <= COND_ALERT:
+        # A^-1 g leans on the weakest mode, so the largest entries of the
+        # probe's solution name the nodes that carry it
+        peaks = np.argsort(np.abs(x[:, 1]).reshape(-1, dim).max(axis=1))[::-1][:3]
+        return reject(
             f"system condition estimate {cond:.2e} exceeds {COND_ALERT:.0e}; its "
             f"weakest mode peaks at nodes {peaks.tolist()} (largest first)")
-    denom = max(float(np.linalg.norm(rhs)), 1e-300)
-    residual = float(np.linalg.norm(mat @ u - rhs)) / denom
-    return u, residual, cond, {"precision": "double", "refine_steps": 0,
-                               "t_condest": t_condest, "fill": int(fill)}
+    return x, float(rel[0]), cond, {
+        "precision": "double" if double else "single", "refine_steps": steps,
+        "t_condest": t_condest, "fill": int(fill)}
 
 
 def _dense_lu(mat, dtype):

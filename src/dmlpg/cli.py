@@ -50,8 +50,8 @@ class RunConfig:
     quad_traction: int = 16
     quad_mlpg: int = 10
     levels: int = 1
-    young: float = 0.0              # 0 means the per-problem default
-    poisson: float = -1.0
+    young: float | None = None      # None means the per-problem default
+    poisson: float | None = None
     load: float = 1.0
     target: int = 1386              # boussinesq node budget
     degree: int = 2                 # manufactured field degree
@@ -103,7 +103,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}, column {col}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for key {key!r}")
-        kind = type(getattr(defaults, key))
+        default = getattr(defaults, key)
+        kind = float if default is None else type(default)   # only floats default to None
         try:
             if kind is bool:
                 values[key] = _BOOL[value.lower()]
@@ -142,8 +143,10 @@ def _validate(config: RunConfig) -> None:
         geo.canonical_shape(config.shape)
     except ValueError as err:
         raise ConfigError(f"key 'shape': {err}") from None
-    if config.poisson >= 0.5:
-        raise ConfigError("key 'poisson': must be below 0.5")
+    if config.young is not None and not config.young > 0.0:
+        raise ConfigError("key 'young': must be positive")
+    if config.poisson is not None and not 0.0 <= config.poisson < 0.5:
+        raise ConfigError("key 'poisson': must lie in [0, 0.5)")
 
 
 _DEFAULT_MATERIAL = {
@@ -156,9 +159,9 @@ _DEFAULT_MATERIAL = {
 
 def build_problem(config: RunConfig):
     young, poisson = _DEFAULT_MATERIAL[config.problem]
-    if config.young > 0.0:
+    if config.young is not None:
         young = config.young
-    if config.poisson >= 0.0:
+    if config.poisson is not None:
         poisson = config.poisson
     if config.problem == "beam":
         return bm.BeamProblem(young=young, poisson=poisson, load=config.load)

@@ -68,6 +68,24 @@ def test_explicit_delta_factor_wins_and_zero_means_the_default():
         cli.parse_config("problem = beam\ndelta_factor = -1\n")
 
 
+@pytest.mark.parametrize("key, value", [("young", "-5"), ("young", "0"), ("young", "nan"),
+                                        ("poisson", "-0.3"), ("poisson", "-1"),
+                                        ("poisson", "0.5")])
+def test_explicit_material_constants_out_of_range_are_rejected(key, value):
+    with pytest.raises(cli.ConfigError, match=f"key '{key}'"):
+        cli.parse_config(f"problem = beam\n{key} = {value}\n")
+
+
+def test_explicit_material_constants_win_and_unset_ones_default():
+    def material(text):
+        material = cli.build_problem(cli.parse_config("problem = boussinesq\n" + text)).material
+        return material.young, material.poisson
+
+    assert material("") == (1000.0, 0.25)
+    assert material("young = 2.5\npoisson = 0\n") == (2.5, 0.0)
+    assert material("poisson = 0.3\n") == (1000.0, 0.3)
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = cli.parse_config("\n# header\nproblem = beam  # trailing\n\nlevels = 2\n")
     assert cfg.levels == 2
@@ -102,8 +120,9 @@ def test_solve_summary_carries_solver_stats(manufactured_cfg):
     assert cli.main(["solve", "--config", str(path)]) == 0
     summary = json.loads((out / "summary.jsonl").read_text())
     solver = summary["results"]["solver"]
-    assert set(solver) == {"backend", "precision", "refine_steps", "t_factor",
+    assert set(solver) == {"backend", "precision", "refine_steps", "fallback", "t_factor",
                            "t_condest", "fill"}
+    assert solver["fallback"] is None
     # the manufactured level-0 system is small and dense
     n_dof = 2 * summary["results"]["n_nodes"]
     assert solver["backend"] == "dense-lu"

@@ -2,10 +2,14 @@
 
 import ast
 import pathlib
+import tomllib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dmlpg"
+import dmlpg
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dmlpg"
 # ``__init__`` imports names to re-export them, not to use them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -75,3 +79,33 @@ def test_scan_flags_a_dead_private_name():
 def test_package_reads_every_private_name_it_defines():
     package = SRC.glob("*.py")
     assert _dead_private_names({p.stem: ast.parse(p.read_text()) for p in package}) == []
+
+
+def _print_calls(tree, allowed: str | None = None) -> list[int]:
+    """Lines of the ``print(...)`` calls in ``tree`` outside the top-level
+    function named ``allowed``."""
+    exempt = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == allowed
+              for node in ast.walk(top)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "print" and id(node) not in exempt)
+
+
+def test_scan_flags_a_print_call():
+    tree = ast.parse("def main():\n    print(1)\n\ndef helper():\n    print(2)\n"
+                     "class Report:\n    def main(self):\n        print(3)\n")
+    assert _print_calls(tree) == [2, 5, 8]
+    assert _print_calls(tree, "main") == [5, 8]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_code_logs_instead_of_printing(path):
+    # only the command line's entry point writes to the terminal
+    allowed = "main" if path.name == "cli.py" else None
+    assert _print_calls(ast.parse(path.read_text()), allowed) == []
+
+
+def test_package_version_is_the_project_version():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert dmlpg.__version__ == project["version"]

@@ -9,6 +9,7 @@ The ``path`` cases are named by the backend under the default policy and by
 policies in turn.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -42,20 +43,32 @@ def _single_first():
 
 @pytest.fixture
 def single_attempts(monkeypatch):
-    """Outcomes of the single-precision attempts of ``solve``; None is a fallback."""
+    """Outcomes of the attempts of ``solve`` below float64; a str is the
+    reason the factor was dropped."""
     outcomes = []
-    real = asm._refined_solve
+    real = asm._certified_solve
 
-    def spy(*args):
-        outcomes.append(real(*args))
-        return outcomes[-1]
+    def spy(factor, mat, b, anorm, dtype, *args):
+        outcome = real(factor, mat, b, anorm, dtype, *args)
+        if dtype != np.float64:
+            outcomes.append(outcome)
+        return outcome
 
-    monkeypatch.setattr(asm, "_refined_solve", spy)
+    monkeypatch.setattr(asm, "_certified_solve", spy)
     return outcomes
 
 
-def _fell_back(outcomes):
-    return outcomes == ([None] if _single_first() else [])
+def _fell_back(outcomes, reason):
+    """Whether the single factor, where the policy tries one, was dropped for
+    a reason that matches the pattern ``reason``."""
+    if not _single_first():
+        return outcomes == []
+    return (len(outcomes) == 1 and isinstance(outcomes[0], str)
+            and re.search(reason, outcomes[0]) is not None)
+
+
+# the reason a factor whose refinement stalls on the probe g is dropped
+STALLED = r"^refinement stopped after \d+ steps at relative residuals \S+ \(b\) and \S+ \(g\)"
 
 
 def _beam(**config):
@@ -137,6 +150,7 @@ def test_single_precision_is_accepted_and_as_accurate_as_double(path, name, monk
     u = asm.solve(system)
     solver, cond = system.stats["solver"], system.stats["condition_estimate"]
     assert system.stats["residual"] < 1e-12
+    assert solver["fallback"] is None
     if _single_first():
         assert solver["precision"] == "single"
         assert 1 <= solver["refine_steps"] < asm.REFINE_STEPS   # stopped at the floor
@@ -161,10 +175,10 @@ def test_duplicated_node_raises_on_both_paths(path, single_attempts):
     # float32 SuperLU refines b alone to 5e-13 here; the probe column stalls
     with pytest.raises(asm.SingularSystemError):
         asm.solve(system)
-    assert _fell_back(single_attempts)
+    assert _fell_back(single_attempts, STALLED)
 
 
-def test_condition_alert_names_the_weak_node_on_both_paths(path, single_attempts):
+def _moved_hole_node_plate():
     # hole node 96 of the coarsest plate moved 1e-7 outward: the size policy
     # gives it a sliver box (about 3e-6 of its spacing) and a near-null row
     problem = bm.PlateProblem()
@@ -173,11 +187,46 @@ def test_condition_alert_names_the_weak_node_on_both_paths(path, single_attempts
     points[96] *= 1.0 + 1e-7 / np.linalg.norm(points[96])
     nodes = geo.NodeSet(points, base.tags, base.masks, base.spacing, base.support,
                         base.mesh_size)
-    system = asm.assemble(nodes, problem, "dmlpg1", asm.SolverConfig())
-    with pytest.raises(asm.SingularSystemError,
-                       match=r"exceeds 1e\+14; its weakest mode peaks at nodes \[96, "):
+    return asm.assemble(nodes, problem, "dmlpg1", asm.SolverConfig())
+
+
+WEAK_NODE_96 = r"exceeds 1e\+14; its weakest mode peaks at nodes \[96, "
+
+
+def test_condition_alert_names_the_weak_node_on_both_paths(path, single_attempts):
+    with pytest.raises(asm.SingularSystemError, match=WEAK_NODE_96):
+        asm.solve(_moved_hole_node_plate())
+    # b alone refines to 5e-15; the probe stalls near 1e-4
+    assert _fell_back(single_attempts, STALLED)
+
+
+@pytest.mark.parametrize("backend", sorted(PATHS))
+def test_double_alert_names_the_weak_node_from_one_block_solve(backend, monkeypatch):
+    # the alert reads the probe column of the block solve that b needed anyway
+    monkeypatch.setattr(asm, "DENSE_DENSITY", PATHS[backend])
+    monkeypatch.setattr(asm, "FACTOR_DTYPES", (np.float64,))
+    system = _moved_hole_node_plate()
+    blocks = []
+    name = {"dense-lu": "_dense_lu", "sparse-lu": "_sparse_lu"}[backend]
+    real = getattr(asm, name)
+
+    def spied(mat, dtype):
+        inverse, cond, fill = real(mat, dtype)
+
+        def recorded(b):
+            blocks.append(b.copy())
+            return inverse(b)
+
+        return recorded, cond, fill
+
+    monkeypatch.setattr(asm, name, spied)
+    with pytest.raises(asm.SingularSystemError, match=WEAK_NODE_96):
         asm.solve(system)
-    assert _fell_back(single_attempts)
+    assert len(blocks) == 1
+    n = system.matrix.shape[0]
+    assert blocks[0].shape == (n, 2)
+    assert np.array_equal(blocks[0][:, 0], system.rhs)
+    assert np.array_equal(blocks[0][:, 1], np.random.default_rng(0).standard_normal(n))
 
 
 def test_condition_alert_is_raised_by_the_double_path(path, single_attempts, monkeypatch):
@@ -186,7 +235,7 @@ def test_condition_alert_is_raised_by_the_double_path(path, single_attempts, mon
     monkeypatch.setattr(asm, "COND_ALERT", 1e3)
     with pytest.raises(asm.SingularSystemError, match=r"estimate 4\.48e\+04 exceeds 1e\+03"):
         asm.solve(_plate())
-    assert _fell_back(single_attempts)
+    assert _fell_back(single_attempts, r"^system condition estimate 4\.48e\+04 exceeds 1e\+03")
 
 
 def test_zeroed_row_raises_on_both_paths(path, single_attempts):
@@ -197,7 +246,7 @@ def test_zeroed_row_raises_on_both_paths(path, single_attempts):
     system.matrix.eliminate_zeros()
     with pytest.raises(asm.SingularSystemError, match=path):
         asm.solve(system)
-    assert _fell_back(single_attempts)
+    assert _fell_back(single_attempts, f"^{path} factorization failed: ")
 
 
 def test_non_finite_matrix_raises(monkeypatch):
@@ -239,6 +288,7 @@ def test_dense_fallback_frees_the_single_copy_first(monkeypatch):
     n = system.matrix.shape[0]
     peak = _peak_bytes(asm.solve, system)
     assert system.stats["solver"]["precision"] == "double"
+    assert re.search(STALLED + r", above 0e\+00$", system.stats["solver"]["fallback"])
     assert n * n * 8 <= peak < 1.5 * n * n * 8
 
 

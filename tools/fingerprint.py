@@ -27,16 +27,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import subprocess
 import sys
-import tarfile
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from ab_pairs import extract   # the sibling script; a script's directory is on sys.path
 
 ROOT = Path(__file__).resolve().parents[1]
 FILE = ROOT / "tools" / "fingerprints.json"
@@ -191,12 +190,9 @@ def compare(reference: dict, current: dict) -> list[str]:
 def parent_record(rev: str) -> dict:
     """``record()`` of revision ``rev``, in a child process on its archive."""
     with tempfile.TemporaryDirectory() as tmp:
-        tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
-                             capture_output=True, check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-            archive.extractall(tmp, filter="data")
-        out = Path(tmp) / "fingerprints.json"
-        subprocess.run([sys.executable, __file__, "--src", str(Path(tmp) / "src"),
+        tree = extract(rev, Path(tmp))
+        out = tree / "fingerprints.json"
+        subprocess.run([sys.executable, __file__, "--src", str(tree / "src"),
                         "--out", str(out)], check=True)
         return json.loads(out.read_text())
 
