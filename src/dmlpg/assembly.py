@@ -53,29 +53,49 @@ class AssemblyError(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Discretization parameters shared by the direct and classical methods."""
+    """Discretization parameters shared by the direct and classical methods.
+
+    Construction (``dataclasses.replace`` too) checks every value, and a bad
+    one raises ``ValueError`` naming its field.
+    """
 
     m: int = 2
     eps: float = 4.0
     shape: str = "box"              # subdomain shape away from curved boundaries
     box_factor: float = 1.0         # box side = factor * local spacing
     ball_factor: float = 0.7        # ball radius = factor * local spacing
-    test_degree: int = 2            # polynomial test-function degree on boxes
     quad_interior: int | None = None   # per-axis points on boxes (None: exact count)
     quad_boundary: int | None = None   # per-axis points on box faces (None: exact)
-    quad_radial: int = 10
-    quad_angular: int = 10
+    quad_ball: int = 10             # points per direction on disks and balls
     quad_curved: int = 24           # rule for subdomains clipped by a curved boundary
     quad_traction: int = 16         # rule for prescribed-traction pieces
     quad_mlpg: int = 10             # per-axis points in the classical methods
     cache: bool = True
     scale_rows: bool = False        # scale weak rows by 1/measure(subdomain)
 
+    def __post_init__(self):
+        canonical_shape(self.shape)
+        counts = ["quad_ball", "quad_curved", "quad_traction", "quad_mlpg"]
+        counts += [name for name in ("quad_interior", "quad_boundary")
+                   if getattr(self, name) is not None]       # None: the exact count
+        self._require([("m", self.m >= 1, "at least 1"),
+                       *((name, getattr(self, name) > 0.0, "positive")
+                         for name in ("eps", "box_factor", "ball_factor")),
+                       *((name, getattr(self, name) in range(1, 65), "a point count in [1, 64]")
+                         for name in counts)])
+
+    def _require(self, checks):
+        """Raise ``ValueError`` naming the first field of ``checks``, triples
+        (field, passed, rule), that fails its rule."""
+        for name, ok, rule in checks:
+            if not ok:
+                raise ValueError(f"{name!r} must be {rule}, not {getattr(self, name)!r}")
+
     def interior_points(self) -> int:
         if self.quad_interior is not None:
             return self.quad_interior
-        # per-axis integrand degree (m-1) + test_degree for the volume rows
-        return math.ceil((self.m + self.test_degree) / 2)
+        # per-axis integrand degree (m-1) + 2 (the box test bump) for the volume rows
+        return math.ceil((self.m + 2) / 2)
 
     def boundary_points(self) -> int:
         if self.quad_boundary is not None:
@@ -88,30 +108,27 @@ class SolverConfig:
 
 
 class BoxTestFunction:
-    """Polynomial bump on the unclipped box: prod_i (1 - 4 dx_i^2/s^2)^(n/2).
+    """Polynomial bump on the unclipped box: prod_i (1 - 4 dx_i^2/s^2).
 
     Vanishes on every face of the original box, so clipped faces lying on the
     global boundary are the only boundary pieces where it survives.  A stack
     of boxes, centres (..., d) and sizes (...), takes points (..., P, d).
     """
 
-    def __init__(self, center, size, degree: int = 2):
-        if degree < 2 or degree % 2:
-            raise ValueError("box test-function degree must be even and >= 2")
+    def __init__(self, center, size):
         self.center = np.asarray(center, dtype=float)
         self.size = np.asarray(size, dtype=float)
-        self.power = degree // 2
 
     def _scaled(self, points):
         pts = np.atleast_2d(points)
         return (pts - self.center[..., None, :]) * (2.0 / self.size)[..., None, None]
 
     def values(self, points) -> np.ndarray:
-        return np.prod((1.0 - self._scaled(points)**2) ** self.power, axis=-1)
+        return np.prod(1.0 - self._scaled(points)**2, axis=-1)
 
     def gradients(self, points) -> np.ndarray:
         z = self._scaled(points)
-        factors = (1.0 - z**2) ** self.power
+        factors = 1.0 - z**2
         prod_all = np.prod(factors, axis=-1, keepdims=True)
         # others[..., a] is the product of every factor but axis a's.  On a
         # face the own factor is 0 and the quotient undefined; inside the box
@@ -121,9 +138,7 @@ class BoxTestFunction:
                        axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
             others = np.where(factors > 0.0, prod_all / factors, rest)
-        dfac = (self.power * (1.0 - z**2) ** (self.power - 1) * (-2.0 * z)
-                * (2.0 / self.size)[..., None, None])
-        return others * dfac
+        return others * (-2.0 * z * (2.0 / self.size)[..., None, None])
 
 
 class GaussianTestFunction:
@@ -150,7 +165,7 @@ class GaussianTestFunction:
 
 def test_function(sub: Subdomain, config: SolverConfig):
     if sub.shape == "box":
-        return BoxTestFunction(sub.center, sub.size, config.test_degree)
+        return BoxTestFunction(sub.center, sub.size)
     return GaussianTestFunction(sub.center, sub.size, config.eps)
 
 
@@ -181,7 +196,7 @@ def _interior_rule(sub: Subdomain, config: SolverConfig):
         return sub.interior_rule(config.interior_points())
     if sub.curved_clip:
         return sub.interior_rule(config.quad_curved)
-    return sub.interior_rule(max(config.quad_radial, config.quad_angular))
+    return sub.interior_rule(config.quad_ball)
 
 
 def _piece_rule(piece, sub: Subdomain, config: SolverConfig, traction: bool):
@@ -192,7 +207,7 @@ def _piece_rule(piece, sub: Subdomain, config: SolverConfig, traction: bool):
     elif sub.curved_clip:
         n = config.quad_curved
     else:
-        n = max(config.quad_radial, config.quad_angular)
+        n = config.quad_ball
     return piece.rule(n)
 
 
@@ -536,7 +551,7 @@ def _box_rows(method: str, nodes, problem, config: SolverConfig, plan: Subdomain
         basis = mls.PolyBasis(config.m, d, centers[at], nodes.support[heads])
         if volume:
             rule = quad.rule_box(lo[at], hi[at], config.interior_points())
-            test = BoxTestFunction(centers[at], sizes[at], config.test_degree)
+            test = BoxTestFunction(centers[at], sizes[at])
             op = weak_operator(-rule.weights, test.gradients(rule.points), dmat, tmap)
             lam = weak_contract(op, basis.gradients(rule.points))
         else:
@@ -547,7 +562,7 @@ def _box_rows(method: str, nodes, problem, config: SolverConfig, plan: Subdomain
             rule = quad.rule_box(lo, hi, config.interior_points())
             wv = rule.weights
             if volume:
-                wv = wv * BoxTestFunction(centers, sizes, config.test_degree).values(rule.points)
+                wv = wv * BoxTestFunction(centers, sizes).values(rule.points)
             for i in range(boxes.size):
                 beta[i] -= np.einsum("q,qi->i", wv[i], problem.body(rule.points[i]))
         # the faces on a plane that prescribes some traction, in piece order
@@ -575,8 +590,7 @@ def _box_rows(method: str, nodes, problem, config: SolverConfig, plan: Subdomain
                 start += r.weights.size
                 wv = r.weights
                 if volume:
-                    wv = wv * BoxTestFunction(centers[sel], sizes[sel],
-                                              config.test_degree).values(r.points)
+                    wv = wv * BoxTestFunction(centers[sel], sizes[sel]).values(r.points)
                 beta[sel[:, None], np.flatnonzero(kn)] -= np.einsum("nq,nqi->ni", wv, t)[:, kn]
     return heads, lam, beta, failures
 

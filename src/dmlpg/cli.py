@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import scipy
@@ -30,25 +30,17 @@ class ConfigError(Exception):
     """Parse or validation failure; str() names the key and location."""
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(asm.SolverConfig):
+    """A run: its problem, node cloud, material, load and outputs, on top of
+    the discretization settings of ``SolverConfig``.  Construction checks
+    every value and raises ``ValueError`` naming the first bad field."""
+
     problem: str = ""
     method: str = "dmlpg1"
-    m: int = 2
-    eps: float = 4.0
-    shape: str = "box"
-    box_factor: float = 1.0
-    ball_factor: float = 0.7
-    delta_factor: float = 0.0       # support scale; 0 means the per-problem default
+    delta_factor: float | None = None   # support scale; None means the per-problem default
     near_factor: float = 2.0        # plate: support scale at the hole
     far_factor: float = 2.5         # plate: support scale away from it
-    quad_interior: int = 0          # 0 means the exact-count default
-    quad_boundary: int = 0
-    quad_radial: int = 10
-    quad_angular: int = 10
-    quad_curved: int = 24
-    quad_traction: int = 16
-    quad_mlpg: int = 10
     levels: int = 1
     young: float | None = None      # None means the per-problem default
     poisson: float | None = None
@@ -56,37 +48,38 @@ class RunConfig:
     target: int = 1386              # boussinesq node budget
     degree: int = 2                 # manufactured field degree
     dim: int = 2                    # manufactured dimension
-    cache: bool = True
-    scale_rows: bool = False
     record_times: bool = True
     out: str = "out"
 
+    def __post_init__(self):
+        super().__post_init__()
+        positive = ["near_factor", "far_factor", "levels", "load", "target"]
+        positive += [name for name in ("delta_factor", "young") if getattr(self, name) is not None]
+        self._require([
+            ("problem", self.problem in PROBLEMS, f"one of {', '.join(PROBLEMS)}"),
+            ("method", self.method in METHODS, f"one of {', '.join(METHODS)}"),
+            ("m", self.m >= 2, "at least 2 for the direct methods"),
+            ("degree", self.degree in (1, 2), "1 or 2"),
+            ("dim", self.dim in (2, 3), "2 or 3"),
+            ("poisson", self.poisson is None or 0.0 <= self.poisson < 0.5, "in [0, 0.5)"),
+            *((name, getattr(self, name) > 0.0, "positive") for name in positive)])
+
     @property
     def support_factor(self) -> float:
-        if self.delta_factor > 0.0:
+        if self.delta_factor is not None:
             return self.delta_factor
         return 1.5 if self.problem == "boussinesq" else 2.0   # the shell's tighter supports
 
-    def solver_config(self) -> asm.SolverConfig:
-        return asm.SolverConfig(
-            m=self.m, eps=self.eps, shape=self.shape, box_factor=self.box_factor,
-            ball_factor=self.ball_factor,
-            quad_interior=self.quad_interior or None,
-            quad_boundary=self.quad_boundary or None,
-            quad_radial=self.quad_radial, quad_angular=self.quad_angular,
-            quad_curved=self.quad_curved, quad_traction=self.quad_traction,
-            quad_mlpg=self.quad_mlpg, cache=self.cache,
-            scale_rows=self.scale_rows)
 
-
-_BOOL = {"true": True, "false": False, "yes": True, "no": False,
-         "1": True, "0": False}
+_PARSERS = {"bool": lambda value: {"true": True, "false": False, "yes": True, "no": False,
+                                   "1": True, "0": False}[value.lower()],
+            "int": int, "float": float, "str": str}
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse the key-value run description; errors carry line/column info."""
-    spec = {f.name: f.type for f in fields(RunConfig)}
-    defaults = RunConfig()
+    """Parse the key-value run description; errors carry line/column info or
+    name the key whose value ``RunConfig`` rejects."""
+    kinds = {f.name: f.type.split(" | ")[0] for f in fields(RunConfig)}   # "int | None": int
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -98,55 +91,20 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in spec:
+        if key not in kinds:
             col = raw.index(key) + 1 if key and key in raw else 1
             raise ConfigError(f"line {lineno}, column {col}: unknown key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for key {key!r}")
-        default = getattr(defaults, key)
-        kind = float if default is None else type(default)   # only floats default to None
         try:
-            if kind is bool:
-                values[key] = _BOOL[value.lower()]
-            elif kind is int:
-                values[key] = int(value)
-            elif kind is float:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = _PARSERS[kinds[key]](value)
         except (ValueError, KeyError):
             raise ConfigError(
                 f"line {lineno}: value {value!r} invalid for key {key!r}") from None
-    config = RunConfig(**values)
-    _validate(config)
-    return config
-
-
-def _validate(config: RunConfig) -> None:
-    if config.problem not in PROBLEMS:
-        raise ConfigError(
-            f"key 'problem': expected one of {PROBLEMS}, got {config.problem!r}")
-    if config.method not in METHODS:
-        raise ConfigError(f"key 'method': unknown method {config.method!r}")
-    if config.m < 2:
-        raise ConfigError("key 'm': the direct methods need basis degree >= 2")
-    positive = ["eps", "box_factor", "ball_factor", "near_factor", "far_factor",
-                "quad_radial", "quad_angular", "quad_curved", "quad_traction", "quad_mlpg",
-                "levels", "load", "target"]
-    for name in positive:
-        if getattr(config, name) <= 0:
-            raise ConfigError(f"key {name!r}: must be positive")
-    for name in ("delta_factor", "quad_interior", "quad_boundary"):
-        if getattr(config, name) < 0:
-            raise ConfigError(f"key {name!r}: must be nonnegative")
     try:
-        geo.canonical_shape(config.shape)
+        return RunConfig(**values)
     except ValueError as err:
-        raise ConfigError(f"key 'shape': {err}") from None
-    if config.young is not None and not config.young > 0.0:
-        raise ConfigError("key 'young': must be positive")
-    if config.poisson is not None and not 0.0 <= config.poisson < 0.5:
-        raise ConfigError("key 'poisson': must lie in [0, 0.5)")
+        raise ConfigError(f"key {err}") from None
 
 
 _DEFAULT_MATERIAL = {
@@ -211,7 +169,7 @@ def eval_mesh_for(config: RunConfig, problem):
     return pts.points
 
 
-def _write_profiles(out_dir, config, problem, nodes, u, solver_cfg):
+def _write_profiles(out_dir, config, problem, nodes, u):
     """Figure-analogue CSV tables for the solved problem."""
     import pathlib
 
@@ -220,7 +178,7 @@ def _write_profiles(out_dir, config, problem, nodes, u, solver_cfg):
     if config.problem == "beam":
         y = np.linspace(0.0, problem.height, 41)
         pts = np.column_stack([np.full_like(y, problem.length / 2.0), y])
-        f = asm.recover_field(pts, nodes, u, problem.material, solver_cfg.m, solver_cfg.eps)
+        f = asm.recover_field(pts, nodes, u, problem.material, config.m, config.eps)
         exact = problem.exact_stress(pts)
         for name, col in (("s11", 0), ("s12", 2)):
             path = out / f"beam_{name}_profile.csv"
@@ -229,7 +187,7 @@ def _write_profiles(out_dir, config, problem, nodes, u, solver_cfg):
     elif config.problem == "plate":
         y = np.linspace(problem.hole_radius, problem.half_width, 41)
         pts = np.column_stack([np.zeros_like(y), y])
-        f = asm.recover_field(pts, nodes, u, problem.material, solver_cfg.m, solver_cfg.eps)
+        f = asm.recover_field(pts, nodes, u, problem.material, config.m, config.eps)
         exact = problem.exact_stress(pts)
         path = out / "plate_s11_profile.csv"
         bm.write_profile_csv(path, y, f["stress"][:, 0], exact[:, 0])
@@ -237,7 +195,7 @@ def _write_profiles(out_dir, config, problem, nodes, u, solver_cfg):
     elif config.problem == "boussinesq":
         r = np.linspace(0.5, 5.0, 41)
         pts = np.column_stack([r / math.sqrt(2.0), r / math.sqrt(2.0), np.zeros_like(r)])
-        f = asm.recover_field(pts, nodes, u, problem.material, solver_cfg.m, solver_cfg.eps)
+        f = asm.recover_field(pts, nodes, u, problem.material, config.m, config.eps)
         ue = problem.exact_u(pts)
         se = problem.exact_stress(pts)
         from . import elasticity as ela
@@ -261,7 +219,6 @@ def run(config: RunConfig, command: str = "solve") -> dict:
 
     out = pathlib.Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    solver_cfg = config.solver_config()
     problem = build_problem(config)
     factory = level_factory(config, problem)
     eval_pts = eval_mesh_for(config, problem)
@@ -270,9 +227,9 @@ def run(config: RunConfig, command: str = "solve") -> dict:
     results = {}
     if command == "solve":
         problem, nodes = factory(config.levels - 1)
-        u, system = bm.solve_problem(nodes, problem, config.method, solver_cfg)
-        rep = bm.relative_errors(u, nodes, problem, eval_pts, solver_cfg)
-        artifacts += _write_profiles(out, config, problem, nodes, u, solver_cfg)
+        u, system = bm.solve_problem(nodes, problem, config.method, config)
+        rep = bm.relative_errors(u, nodes, problem, eval_pts, config)
+        artifacts += _write_profiles(out, config, problem, nodes, u)
         solver = dict(system.stats["solver"])
         stages = dict(system.stats["stages"])
         if not config.record_times:
@@ -289,7 +246,7 @@ def run(config: RunConfig, command: str = "solve") -> dict:
                  "solve_s": system.stats["t_solve"]}
     elif command == "study":
         rows = bm.convergence_study(factory, config.method, config.levels,
-                                    eval_pts, solver_cfg)
+                                    eval_pts, config)
         path = out / "convergence.csv"
         bm.write_convergence_csv(path, rows, record_times=config.record_times)
         artifacts.append(str(path))
@@ -307,7 +264,7 @@ def run(config: RunConfig, command: str = "solve") -> dict:
             fh.write("method,h,N,r_u,r_eps,t_assemble_s,t_solve_s,shape_evals\n")
             for method in (config.method, other):
                 rows = bm.convergence_study(factory, method, config.levels,
-                                            eval_pts, solver_cfg)
+                                            eval_pts, config)
                 for r in rows:
                     ta = r.t_assemble if config.record_times else 0.0
                     ts = r.t_solve if config.record_times else 0.0
@@ -323,7 +280,7 @@ def run(config: RunConfig, command: str = "solve") -> dict:
     summary = {
         "record": "run",
         "command": command,
-        "config": {f.name: getattr(config, f.name) for f in fields(RunConfig)},
+        "config": asdict(config),
         "versions": {"dmlpg": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "artifacts": artifacts,
@@ -365,7 +322,7 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             config = parse_config(fh.read())
         if args.out is not None:
-            config.out = args.out
+            config = replace(config, out=args.out)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

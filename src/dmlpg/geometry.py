@@ -728,7 +728,7 @@ def canonical_shape(shape: str) -> str:
     """"box" or "ball" for a shape name or its alias (square/rect/cube,
     disk/circle/sphere)."""
     if shape not in _SHAPES:
-        raise ValueError(f"unknown subdomain shape {shape!r}")
+        raise ValueError(f"'shape' must be one of {', '.join(_SHAPES)}, not {shape!r}")
     return _SHAPES[shape]
 
 

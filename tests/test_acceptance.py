@@ -151,8 +151,7 @@ def test_criterion_2_patch_tests():
             problem = bm.ManufacturedProblem(coeffs, lengths)
             exact = problem.exact_u(nodes.points).ravel()
             for shape in shapes:
-                cfg = asm.SolverConfig(shape=shape, quad_radial=24,
-                                       quad_angular=24)
+                cfg = asm.SolverConfig(shape=shape, quad_ball=24)
                 for method in ("dmlpg1", "dmlpg5"):
                     u = asm.solve(asm.assemble(nodes, problem, method, cfg))
                     err = np.linalg.norm(u - exact) / np.linalg.norm(exact)

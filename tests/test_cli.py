@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -57,15 +58,43 @@ def test_parse_accepts_every_shape_alias(shape):
         cli.parse_config("problem = beam\nshape = hexagon\n")
 
 
-def test_explicit_delta_factor_wins_and_zero_means_the_default():
+def test_explicit_delta_factor_wins_and_unset_means_the_default():
     defaults = {"beam": 2.0, "plate": 2.0, "boussinesq": 1.5, "manufactured": 2.0}
     for problem, default in defaults.items():
         assert cli.parse_config(f"problem = {problem}\n").support_factor == default
         for value in (2.0, 1.5, 3.0):
             cfg = cli.parse_config(f"problem = {problem}\ndelta_factor = {value}\n")
             assert cfg.support_factor == value
-    with pytest.raises(cli.ConfigError, match="delta_factor"):
-        cli.parse_config("problem = beam\ndelta_factor = -1\n")
+    for value in ("0", "-1"):
+        with pytest.raises(cli.ConfigError, match="key 'delta_factor'"):
+            cli.parse_config(f"problem = beam\ndelta_factor = {value}\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("degree", "0"), ("degree", "3"), ("dim", "1"), ("dim", "4"), ("m", "1"),
+    ("shape", "hexagon"), ("eps", "0"), ("eps", "nan"), ("box_factor", "-1"),
+    ("ball_factor", "0"), ("quad_interior", "0"), ("quad_boundary", "65"), ("quad_ball", "0"),
+    ("quad_curved", "65"), ("quad_traction", "-2"), ("quad_mlpg", "0"), ("near_factor", "0"),
+    ("far_factor", "-1"), ("levels", "0"), ("load", "0"), ("target", "0")])
+def test_bad_values_are_rejected_naming_the_key(key, value):
+    with pytest.raises(cli.ConfigError, match=f"key '{key}'"):
+        cli.parse_config(f"problem = beam\n{key} = {value}\n")
+
+
+def test_run_config_holds_the_solver_config_and_restates_none_of_it():
+    cfg = cli.parse_config("problem = beam\nquad_interior = 3\nquad_ball = 12\n")
+    assert isinstance(cfg, asm.SolverConfig)
+    assert (cfg.quad_interior, cfg.quad_boundary, cfg.quad_ball) == (3, None, 12)
+    solver_fields = {f.name for f in dataclasses.fields(asm.SolverConfig)}
+    assert not solver_fields & set(vars(cli.RunConfig)["__annotations__"])
+    assert cli.parse_config("problem = beam\n") == cli.RunConfig(problem="beam")
+
+
+def test_bad_solver_value_exits_with_a_config_error_naming_the_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("problem = beam\nquad_interior = 65\n")
+    assert cli.main(["solve", "--config", str(cfg)]) == 2
+    assert "key 'quad_interior'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("young", "-5"), ("young", "0"), ("young", "nan"),

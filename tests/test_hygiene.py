@@ -1,12 +1,15 @@
 """Source hygiene checks on the package modules."""
 
 import ast
+import dataclasses
 import pathlib
+import re
 import tomllib
 
 import pytest
 
 import dmlpg
+from dmlpg import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "dmlpg"
@@ -109,3 +112,32 @@ def test_library_code_logs_instead_of_printing(path):
 def test_package_version_is_the_project_version():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert dmlpg.__version__ == project["version"]
+
+
+def _key_rows(text: str) -> list[tuple[list[str], list[str]]]:
+    """(keys, default literals) of each row of the table that follows
+    "Keys and defaults:" in ``text``: the backticked words of its first two
+    cells."""
+    table = text.split("Keys and defaults:", 1)[1].split("\n\n")[1]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    return [(re.findall(r"`(\w+)`", keys), re.findall(r"`([^`]+)`", default))
+            for keys, default in rows]
+
+
+def test_key_rows_read_keys_and_defaults():
+    text = ("Keys and defaults:\n\n| key | default | meaning |\n| --- | --- | --- |\n"
+            "| `a`, `b` | `1`, `x y` | `c` |\n| `d` | (unset) | - |\n\nmore\n")
+    assert _key_rows(text) == [(["a", "b"], ["1", "x y"]), (["d"], [])]
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    rows = _key_rows((ROOT / "README.md").read_text())
+    fields = {f.name: f.default for f in dataclasses.fields(cli.RunConfig)}
+    assert sorted(key for keys, _ in rows for key in keys) == sorted(fields)
+    for keys, literals in rows:
+        if len(literals) != len(keys):     # "(unset)", "per problem", "(required)"
+            assert not literals, keys
+            continue
+        for key, literal in zip(keys, literals):
+            parsed = cli.parse_config(f"problem = beam\n{key} = {literal}\n")
+            assert getattr(parsed, key) == fields[key], key

@@ -15,7 +15,8 @@ or a ``git archive`` copy of ``--change``.  ``--workload`` may repeat; ``all``
 means the four workloads.  The output file gets, per workload and per
 end-to-end metric of ``BENCHMARK.json``, each side's median and quartiles (the
 25th and 75th percentiles of its runs), the number of pairs in which the
-change read lower, and the ratio of the medians (change over parent).  When
+change read lower, and the ratio of the medians (change over parent), and
+each side's count of non-blank source lines in ``src/dmlpg``.  When
 both sides are the same commit (an A/A run, whose spread is the host's noise),
 the workloads go under ``aa_control`` instead of ``workloads``.  An existing
 output file keeps the workloads that this run does not measure.
@@ -61,6 +62,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
          "--seconds", str(seconds), "--seed", str(seed), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def source_lines(tree: Path) -> int:
+    """The non-blank lines of the package source ``src/dmlpg/*.py`` in ``tree``."""
+    return sum(1 for path in (tree / "src" / "dmlpg").glob("*.py")
+               for line in path.read_text().splitlines() if line.strip())
 
 
 def summarise(runs: dict, seeds: list, metrics: list) -> dict:
@@ -123,8 +130,10 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: " + " ".join(
                         f"{k}={v['value']:.6g}" for k, v in runs[side][-1]["metrics"].items()),
                         flush=True)
-            report[section][workload] = {"parent": parent, "change": change,
-                                         **summarise(runs, seeds, metrics)}
+            report[section][workload] = {
+                "parent": parent, "change": change,
+                "source_lines": {side: source_lines(tree) for side, tree in trees.items()},
+                **summarise(runs, seeds, metrics)}
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
